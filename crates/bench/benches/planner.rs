@@ -35,7 +35,7 @@ use hnd_core::operators::UDiffOp;
 use hnd_core::{SolverKind, SolverOpts};
 use hnd_linalg::op::LinearOp;
 use hnd_linalg::{parallel, DensityPlan};
-use hnd_plan::{calibrate, CalibrationOpts, PlanMode, Planner};
+use hnd_plan::{calibrate, CalibrationOpts, Planner};
 use hnd_response::{ResponseLog, ResponseOps};
 use hnd_service::{EngineOpts, RankingEngine};
 use std::sync::OnceLock;
@@ -109,7 +109,6 @@ fn bench_planner_scaling(c: &mut Criterion) {
             ResponseLog::from_matrix(&matrix),
             EngineOpts {
                 planner: Some(planner()),
-                plan_mode: PlanMode::Auto,
                 ..wave_opts()
             },
         )
@@ -198,14 +197,13 @@ fn bench_planner_waves(c: &mut Criterion) {
                 "waves_planner",
                 EngineOpts {
                     planner: Some(planner()),
-                    plan_mode: PlanMode::Auto,
                     ..wave_opts()
                 },
             ),
             (
                 "waves_static",
                 EngineOpts {
-                    plan_mode: PlanMode::Static,
+                    planner: None,
                     ..wave_opts()
                 },
             ),
@@ -217,7 +215,7 @@ fn bench_planner_waves(c: &mut Criterion) {
             (
                 "waves_mispinned",
                 EngineOpts {
-                    plan_mode: PlanMode::Static,
+                    planner: None,
                     density_plan: DensityPlan::force_csr(),
                     ..wave_opts()
                 },

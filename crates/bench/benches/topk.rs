@@ -3,10 +3,9 @@
 //! The sweep crosses query size `k`, [`QueryTier`], and roster size `m`
 //! on the steady-state serving shape: one measured iteration is a tiny
 //! commoner edit wave followed by a `top_k_tier` query — so the
-//! `exact` rows price a warm full-tolerance solve per wave, the
+//! `exact` rows price a warm full-tolerance solve per wave and the
 //! `certified` rows price the default tier (early-terminated solves plus
-//! the rank-stability delta skip, exactly as production serves), and the
-//! `coarse` rows price the iteration-capped dashboard tier.
+//! the rank-stability delta skip, exactly as production serves).
 //!
 //! Each entry's `extras` carry the accuracy axis measured on the same
 //! workload: `topk_membership` (fraction of the exact top-k the tier's
@@ -145,7 +144,6 @@ fn tier_name(tier: QueryTier) -> &'static str {
     match tier {
         QueryTier::Exact => "exact",
         QueryTier::Certified => "certified",
-        QueryTier::Coarse => "coarse",
     }
 }
 
@@ -168,14 +166,8 @@ fn bench_topk(c: &mut Criterion) {
             e.top_k_tier(m, QueryTier::Exact).unwrap()
         };
         let exact_scores = dense_scores(&exact_full, m);
-        let coarse_full = {
-            let mut e = fresh_engine(m);
-            e.top_k_tier(m, QueryTier::Coarse).unwrap()
-        };
-        let coarse_scores = dense_scores(&coarse_full, m);
-        let coarse_spearman = spearman(&coarse_scores, &exact_scores);
 
-        for tier in [QueryTier::Exact, QueryTier::Certified, QueryTier::Coarse] {
+        for tier in [QueryTier::Exact, QueryTier::Certified] {
             let mut engine = fresh_engine(m);
             for &k in ks {
                 let id = format!("{}_k{k}_m{m}", tier_name(tier));
@@ -199,7 +191,6 @@ fn bench_topk(c: &mut Criterion) {
                         let ideal: Vec<f64> = exact_here.iter().map(|&u| exact_scores[u]).collect();
                         spearman(&served, &ideal)
                     }
-                    QueryTier::Coarse => coarse_spearman,
                 };
 
                 let before = engine.stats();

@@ -34,10 +34,10 @@
 //! picture):
 //!
 //! * `C` lives as a structure-only pattern matrix
-//!   (`hnd_linalg::BinaryCsr`: u32 indices, no values array, precomputed
-//!   CSC mirror), so both `C·w` and `Cᵀ·s` are parallel gather loops and
-//!   the `Crow`/`Ccol`/`Dr^{-1/2}` diagonal scalings fuse into the same
-//!   pass (`hnd_response::ResponseOps`).
+//!   (`hnd_linalg::HybridPattern`: u32-index or bitmap lanes, no values
+//!   array, precomputed column mirror), so both `C·w` and `Cᵀ·s` are
+//!   parallel gather loops and the `Crow`/`Ccol`/`Dr^{-1/2}` diagonal
+//!   scalings fuse into the same pass (`hnd_response::ResponseOps`).
 //! * Each operator ([`UOp`], [`UTransposeOp`], [`UDiffOp`],
 //!   [`SymmetrizedUOp`]) owns a reusable
 //!   [`hnd_response::KernelWorkspace`], allocated once at construction:

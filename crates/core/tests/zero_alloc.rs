@@ -12,35 +12,14 @@ use hnd_linalg::op::LinearOp;
 use hnd_linalg::parallel::with_threads;
 use hnd_linalg::DensityPlan;
 use hnd_response::{ResponseMatrix, ResponseOps};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAllocator;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// A mid-sized random-ish response matrix (120 users × 40 items × 3
 /// options, ~10% skips) built without RNG dependencies.
@@ -70,32 +49,20 @@ fn assert_alloc_free(label: &str, mut apply: impl FnMut()) {
     // its final capacity.
     apply();
     apply();
-    // The counter is process-global and other threads (e.g. the libtest
-    // main thread's bookkeeping) occasionally allocate mid-window, so a
-    // single noisy measurement is retried. The window is deliberately
-    // large (200 applications): an operator that allocates even
+    // A large window (200 applications): an operator that allocates even
     // *periodically* — say every 64th apply via amortized growth — still
-    // hits every window and fails all attempts; only sporadic ambient
-    // noise can see a clean window.
-    let mut leaked = 0;
-    for _ in 0..5 {
-        let before = allocations();
-        for _ in 0..200 {
-            apply();
-        }
-        leaked = allocations() - before;
-        if leaked == 0 {
-            return;
-        }
+    // shows up.
+    let before = allocations();
+    for _ in 0..200 {
+        apply();
     }
-    panic!("{label}: {leaked} allocations across 200 applications (5 attempts)");
+    let leaked = allocations() - before;
+    assert_eq!(
+        leaked, 0,
+        "{label}: {leaked} allocations across 200 applications"
+    );
 }
 
-/// One test for the whole binary: the counter is process-global, and the
-/// libtest harness itself allocates from its main thread while tests run
-/// (result bookkeeping), so any concurrently running test — or even a
-/// finishing sibling test — would move the counter mid-measurement and
-/// flake. A single test keeps the process quiet while measuring.
 #[test]
 fn zero_allocation_contract() {
     // Sanity-check the harness itself: an allocation must move the counter.

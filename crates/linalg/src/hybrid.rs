@@ -1,7 +1,7 @@
 //! The density-adaptive hybrid pattern matrix [`HybridPattern`]: sparse
 //! u32-index lanes below a density threshold, 64-bit bitmap lanes above it.
 //!
-//! [`crate::BinaryCsr`] spends 32 bits of index traffic per nonzero — the
+//! A u32-index CSR lane spends 32 bits of index traffic per nonzero — the
 //! right trade for sparse lanes, but a waste on the dense rows real
 //! student×item response matrices mostly consist of: a row at 60% density
 //! costs 32× the memory traffic of a bitmap over the same span, its gather
@@ -14,20 +14,21 @@
 //!
 //! [`HybridPattern`] keeps **both** formats, per lane: each row (and each
 //! column of the CSC-style mirror) independently stores either a sorted
-//! u32-index prefix span with slack capacity (exactly the [`BinaryCsr`]
-//! layout) or a span of 64-bit blocks in a shared word arena. The choice is
-//! made **at construction** from the lane's density under a [`DensityPlan`];
-//! [`HybridPattern::apply_delta`] never changes a lane's format, so
-//! promotion/demotion happens lazily at the rebuild points the serving
-//! layer already has (slack exhaustion, bulk deltas, shard rebalances).
+//! u32-index prefix span with slack capacity (the pure-CSR layout of
+//! [`DensityPlan::force_csr`]) or a span of 64-bit blocks in a shared word
+//! arena. The choice is made **at construction** from the lane's density
+//! under a [`DensityPlan`]; [`HybridPattern::apply_delta`] never changes a
+//! lane's format, so promotion/demotion happens lazily at the rebuild
+//! points the serving layer already has (slack exhaustion, bulk deltas,
+//! shard rebalances).
 //!
-//! The gather kernels mirror [`BinaryCsr::rows_gather`] /
-//! [`BinaryCsr::cols_gather`], except the closure receives a [`Lane`] — a
-//! two-variant view whose [`Lane::sum`] / [`Lane::sum_scaled`] dispatch to
-//! the 4-accumulator CSR gathers or the SIMD word kernels. Higher layers
-//! (`hnd-response`, `hnd-shard`) fuse their diagonal scalings into the
-//! closures exactly as before, so every operator family rides the fast
-//! path with no API churn.
+//! The gather kernels ([`HybridPattern::rows_gather`] /
+//! [`HybridPattern::cols_gather`]) hand each lane's reduction to a closure
+//! as a [`Lane`] — a two-variant view whose [`Lane::sum`] /
+//! [`Lane::sum_scaled`] dispatch to the 4-accumulator CSR gathers or the
+//! SIMD word kernels. Higher layers (`hnd-response`, `hnd-shard`) fuse
+//! their diagonal scalings into the closures, so every operator family
+//! rides the fast path.
 //!
 //! Bitmap sums traverse the same index set in a different grouping than
 //! sparse sums, so a bitmap lane agrees with its sparse twin to rounding
@@ -252,8 +253,8 @@ const SPARSE: u32 = u32::MAX;
 /// A binary (0/1) sparse-or-dense pattern matrix: per-lane hybrid storage
 /// (see the module docs) with a full mirror, in-place [`PatternDelta`]
 /// edits, and the closure-based gather kernels the spectral operators are
-/// built on. The drop-in density-adaptive successor of [`BinaryCsr`]
-/// behind `hnd_response::ResponseOps` and `hnd_shard::ShardedOps`.
+/// built on — the pattern type behind `hnd_response::ResponseOps` and
+/// `hnd_shard::ShardedOps`.
 ///
 /// Invariants: the row view and the column mirror always describe the same
 /// entry set; sparse lanes keep strictly-increasing indices in the prefix
@@ -261,8 +262,6 @@ const SPARSE: u32 = u32::MAX;
 /// lane dimension; `row_len`/`col_len` track logical entry counts for
 /// *both* formats. Equality compares the logical entry set, not formats or
 /// physical layout.
-///
-/// [`BinaryCsr`]: crate::BinaryCsr
 #[derive(Debug, Clone)]
 pub struct HybridPattern {
     rows: usize,
@@ -583,16 +582,14 @@ impl HybridPattern {
 
     /// Applies an edit batch in place, patching the row view *and* the
     /// mirror. Edits touching bitmap lanes are O(1) bit flips with no
-    /// slack accounting; edits touching sparse lanes shift the stored
-    /// prefix exactly as [`BinaryCsr::apply_delta`] and can fail with
+    /// slack accounting; edits touching sparse lanes shift the sorted
+    /// stored prefix within its capacity span and can fail with
     /// [`DeltaError::RowFull`] / [`DeltaError::ColFull`] when the span is
     /// exhausted (the caller rebuilds — and the rebuild re-evaluates lane
     /// formats, which is where promotion/demotion happens).
     ///
     /// Removes are applied before adds; on any error the matrix is rolled
     /// back to its exact pre-delta state.
-    ///
-    /// [`BinaryCsr::apply_delta`]: crate::BinaryCsr::apply_delta
     pub fn apply_delta(&mut self, delta: &PatternDelta) -> Result<(), DeltaError> {
         for (k, &(r, c)) in delta.removes.iter().enumerate() {
             if let Err(e) = self.remove_entry(r, c) {
@@ -750,9 +747,8 @@ impl HybridPattern {
     }
 
     /// Row-parallel gather: `y[i] = f(i, row lane i)` — the fusion point
-    /// for every `C`-sided product (see [`BinaryCsr::rows_gather`]).
-    ///
-    /// [`BinaryCsr::rows_gather`]: crate::BinaryCsr::rows_gather
+    /// for every `C`-sided product: the closure owns the full row
+    /// reduction, so diagonal scalings fold into the same pass.
     #[inline]
     pub fn rows_gather(&self, y: &mut [f64], f: impl Fn(usize, Lane<'_>) -> f64 + Sync) {
         assert_eq!(y.len(), self.rows, "rows_gather: output length mismatch");
@@ -765,6 +761,8 @@ impl HybridPattern {
     }
 
     /// Column-parallel gather over the mirror: `y[c] = f(c, column lane c)`.
+    /// The mirror turns `Cᵀ`-sided products from a serial scatter into an
+    /// embarrassingly parallel gather.
     #[inline]
     pub fn cols_gather(&self, y: &mut [f64], f: impl Fn(usize, Lane<'_>) -> f64 + Sync) {
         assert_eq!(y.len(), self.cols, "cols_gather: output length mismatch");

@@ -32,25 +32,24 @@
 //! response matrix `C`, kernel throughput is system throughput. Four layers
 //! make those products run at memory speed:
 //!
-//! * **Pattern matrix** ([`pattern::BinaryCsr`]): `C` is 0/1, so it is
-//!   stored as a structure-only CSR with `u32` indices — no values array,
-//!   halving index traffic and removing a pointless 8-byte load + multiply
-//!   per entry. A precomputed CSC mirror turns `Cᵀ·s` from a serial scatter
-//!   into a row-/column-parallel *gather*, mirroring `C·w`.
-//! * **Density-adaptive hybrid lanes** ([`hybrid::HybridPattern`]): rows
-//!   and mirror columns whose density crosses a
-//!   [`DensityPlan`](hybrid::DensityPlan) threshold drop the index list
-//!   entirely and store 64-bit bitmap blocks, reduced by runtime-dispatched
-//!   branchless SIMD word kernels ([`simd`]) — ~32× less index traffic on
-//!   dense lanes, and in-place edits become O(1) bit flips with no slack
-//!   accounting. Sparse lanes keep the u32 CSR layout; the closure-based
+//! * **Pattern matrix** ([`hybrid::HybridPattern`]): `C` is 0/1, so it is
+//!   stored structure-only — sparse lanes are CSR spans of `u32` indices
+//!   with no values array, halving index traffic and removing a pointless
+//!   8-byte load + multiply per entry. A precomputed column mirror turns
+//!   `Cᵀ·s` from a serial scatter into a row-/column-parallel *gather*,
+//!   mirroring `C·w`. In-place edits arrive as [`pattern::PatternDelta`]s.
+//! * **Density-adaptive hybrid lanes**: rows and mirror columns whose
+//!   density crosses a [`DensityPlan`](hybrid::DensityPlan) threshold
+//!   drop the index list entirely and store 64-bit bitmap blocks, reduced
+//!   by runtime-dispatched branchless SIMD word kernels ([`simd`]) — ~32×
+//!   less index traffic on dense lanes, and in-place edits become O(1) bit
+//!   flips with no slack accounting. Sparse lanes keep the u32 CSR layout; the closure-based
 //!   gather API is format-transparent ([`hybrid::Lane`]).
 //! * **Fused scaled gathers**: [`hybrid::HybridPattern::rows_gather`] /
-//!   [`hybrid::HybridPattern::cols_gather`] (and their [`BinaryCsr`]
-//!   ancestors) take the whole per-row/column reduction as a closure, so
-//!   the `Crow`/`Ccol` diagonal normalizations (and the `Dr^{-1/2}`
-//!   symmetrization) fold into the same pass instead of costing separate
-//!   sweeps and `scaled` temporaries.
+//!   [`hybrid::HybridPattern::cols_gather`] take the whole per-row/column
+//!   reduction as a closure, so the `Crow`/`Ccol` diagonal normalizations
+//!   (and the `Dr^{-1/2}` symmetrization) fold into the same pass instead
+//!   of costing separate sweeps and `scaled` temporaries.
 //! * **Parallelism** ([`parallel`]): gathers split the output slice across
 //!   scoped threads (`HND_THREADS`/[`parallel::with_threads`] control the
 //!   worker count; small outputs stay serial). Chunks are contiguous and
@@ -85,7 +84,7 @@ pub use dense::DenseMatrix;
 pub use hybrid::{DensityPlan, FormatCounts, HybridPattern, Lane};
 pub use lanczos::{lanczos_extreme, LanczosOptions, RitzPair, Which};
 pub use op::{DeflatedOp, DenseOp, LinearOp, ScaledOp, ShiftedOp};
-pub use pattern::{BinaryCsr, DeltaError, PatternDelta};
+pub use pattern::{DeltaError, PatternDelta};
 pub use power::{power_iteration, PowerOptions, PowerOutcome};
 pub use simd::KernelIsa;
 pub use sparse::CsrMatrix;

@@ -5,7 +5,7 @@
 //!
 //! * [`par_fill`] — split a mutable output slice into contiguous chunks and
 //!   compute each chunk on its own thread (the backbone of the row/column
-//!   gather kernels in [`crate::pattern::BinaryCsr`]),
+//!   gather kernels in [`crate::HybridPattern`]),
 //! * [`par_map`] — order-preserving parallel map over a slice (the backbone
 //!   of `hnd_response::rank_many` and the experiment sweeps).
 //!

@@ -1,68 +1,23 @@
-//! The binary pattern matrix [`BinaryCsr`]: a sparsity structure with no
-//! values array.
+//! Pattern edit batches ([`PatternDelta`], [`DeltaError`]) and the u32
+//! gather reductions behind the sparse lanes of
+//! [`HybridPattern`](crate::HybridPattern).
 //!
 //! The paper's one-hot response matrix `C` is *purely* a pattern — every
-//! stored entry is 1.0. Storing it as a general [`CsrMatrix`](crate::CsrMatrix)
-//! wastes memory traffic twice over: an 8-byte value load per entry that
-//! always yields 1.0, and 8-byte `usize` column indices where `u32` suffice
-//! (the paper's scales are ≤ 10⁵ users × 10⁵·k option columns ≪ 2³²).
-//! [`BinaryCsr`] stores u32 indices only and keeps a precomputed CSC
-//! mirror, so both `C·w` (row gather) and `Cᵀ·s` (column gather) run as
-//! cache-friendly, embarrassingly parallel gather loops — the seed's
-//! `matvec_t` was a serial scatter that cannot be parallelized without
-//! atomics.
-//!
-//! The gather kernels are exposed in closure form ([`BinaryCsr::rows_gather`],
-//! [`BinaryCsr::cols_gather`]) so callers can fuse diagonal scalings into
-//! the same memory pass; `hnd-response` builds all of the paper's
-//! normalized products (`Crow·w`, `(Ccol)ᵀ·s`, `Uᵀ`, `Ũ`, the ABH
-//! Laplacian) on top of these two primitives with zero temporaries.
-//!
-//! ## Incremental updates
+//! stored entry is 1.0 — so a sparse lane stores u32 indices only and a
+//! product with `C` is a gather-and-add over them. `gather_sum` and
+//! `gather_sum_scaled` are those reductions; every `C`-sided operator
+//! product bottoms out in them (or in their bitmap twins in
+//! [`crate::simd`]).
 //!
 //! Serving workloads see the pattern as a *stream of edits* (a user answers
-//! one more item, revises an answer, …), and rebuilding a multi-million
-//! entry CSR per edit wastes orders of magnitude more work than the edit
-//! itself. [`BinaryCsr`] therefore supports **slack capacity**: each row
-//! and column occupies a sorted *prefix* of a fixed capacity span
-//! (`row_len[i] ≤ capacity`), so [`BinaryCsr::apply_delta`] patches both
-//! the CSR arrays and the CSC mirror in `O(w·nnz(delta))` — `w` the touched
-//! row/column width — by shifting entries within one span. When a span is
-//! full the delta is rolled back and [`DeltaError::RowFull`] /
-//! [`DeltaError::ColFull`] tells the caller to rebuild with fresh slack
-//! ([`BinaryCsr::with_slack`]); nothing is ever silently dropped.
+//! one more item, revises an answer, …). A [`PatternDelta`] is one such
+//! batch; [`HybridPattern::apply_delta`](crate::HybridPattern::apply_delta)
+//! patches it in place and either applies all of it or rolls back and
+//! reports a [`DeltaError`] — nothing is ever silently dropped.
 
-use crate::dense::DenseMatrix;
-use crate::parallel;
-use crate::sparse::CsrMatrix;
-
-/// A binary (0/1) sparse matrix stored as a u32-index CSR pattern plus a
-/// CSC mirror of the same pattern, with optional per-row/column slack
-/// capacity for in-place edits.
-///
-/// Invariants: `row_ptr.len() == rows + 1`, `col_ptr.len() == cols + 1`,
-/// both monotone; row `i` stores `row_len[i]` column indices, strictly
-/// increasing, in the prefix of its span `row_ptr[i]..row_ptr[i+1]` (and
-/// symmetrically for columns); CSR and CSC describe the same entry set.
-/// Equality compares the *logical* entry set, not the physical layout, so
-/// a delta-patched matrix equals its from-scratch rebuild.
-#[derive(Debug, Clone)]
-pub struct BinaryCsr {
-    rows: usize,
-    cols: usize,
-    row_ptr: Vec<u32>,
-    col_idx: Vec<u32>,
-    /// Stored entries of row `i` (prefix of its capacity span).
-    row_len: Vec<u32>,
-    col_ptr: Vec<u32>,
-    row_idx: Vec<u32>,
-    /// Stored entries of column `c` (prefix of its capacity span).
-    col_len: Vec<u32>,
-    nnz: usize,
-}
-
-/// An edit batch for [`BinaryCsr::apply_delta`]: entries to remove and
-/// entries to insert, as `(row, col)` coordinates.
+/// An edit batch for
+/// [`HybridPattern::apply_delta`](crate::HybridPattern::apply_delta):
+/// entries to remove and entries to insert, as `(row, col)` coordinates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternDelta {
     /// Entries that must currently exist and are deleted.
@@ -83,8 +38,8 @@ impl PatternDelta {
     }
 }
 
-/// Why a [`BinaryCsr::apply_delta`] could not be applied. The matrix is
-/// rolled back to its pre-delta state before any error is returned.
+/// Why a [`PatternDelta`] could not be applied. The matrix is rolled back
+/// to its pre-delta state before any error is returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
     /// A coordinate lies outside the matrix.
@@ -144,391 +99,11 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-impl BinaryCsr {
-    /// Builds a tightly-packed pattern (zero slack) from `(row, col)`
-    /// pairs. Duplicates collapse to a single entry (the matrix is 0/1 by
-    /// definition).
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds coordinates or dimensions exceeding `u32`.
-    pub fn from_pairs(
-        rows: usize,
-        cols: usize,
-        pairs: impl IntoIterator<Item = (usize, usize)>,
-    ) -> Self {
-        Self::with_slack(rows, cols, pairs, 0, 0)
-    }
-
-    /// Builds a pattern whose every row span has `row_slack` spare slots
-    /// and every column span `col_slack` spare slots, so future
-    /// [`Self::apply_delta`] calls can insert without rebuilding.
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds coordinates or dimensions/entry counts
-    /// exceeding `u32`.
-    pub fn with_slack(
-        rows: usize,
-        cols: usize,
-        pairs: impl IntoIterator<Item = (usize, usize)>,
-        row_slack: usize,
-        col_slack: usize,
-    ) -> Self {
-        assert!(
-            rows <= u32::MAX as usize && cols <= u32::MAX as usize,
-            "BinaryCsr: dimensions exceed u32"
-        );
-        // Two-pass counting sort into CSR, then mirror.
-        let mut entries: Vec<(u32, u32)> = pairs
-            .into_iter()
-            .map(|(r, c)| {
-                assert!(
-                    r < rows && c < cols,
-                    "pattern entry out of bounds: ({r},{c})"
-                );
-                (r as u32, c as u32)
-            })
-            .collect();
-        entries.sort_unstable();
-        entries.dedup();
-        let nnz = entries.len();
-        assert!(
-            nnz + rows * row_slack <= u32::MAX as usize
-                && nnz + cols * col_slack <= u32::MAX as usize,
-            "BinaryCsr: entry count (plus slack) exceeds u32 ({nnz} entries)"
-        );
-
-        let mut row_len = vec![0u32; rows];
-        for &(r, _) in &entries {
-            row_len[r as usize] += 1;
-        }
-        let mut row_ptr = vec![0u32; rows + 1];
-        for i in 0..rows {
-            row_ptr[i + 1] = row_ptr[i] + row_len[i] + row_slack as u32;
-        }
-        let mut col_idx = vec![0u32; row_ptr[rows] as usize];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        for &(r, c) in &entries {
-            col_idx[cursor[r as usize] as usize] = c;
-            cursor[r as usize] += 1;
-        }
-
-        let mut col_len = vec![0u32; cols];
-        for &(_, c) in &entries {
-            col_len[c as usize] += 1;
-        }
-        let mut col_ptr = vec![0u32; cols + 1];
-        for c in 0..cols {
-            col_ptr[c + 1] = col_ptr[c] + col_len[c] + col_slack as u32;
-        }
-        let mut row_idx = vec![0u32; col_ptr[cols] as usize];
-        let mut ccursor: Vec<u32> = col_ptr[..cols].to_vec();
-        // Entries are sorted by (row, col), so visiting them in order fills
-        // each column's rows ascending.
-        for &(r, c) in &entries {
-            row_idx[ccursor[c as usize] as usize] = r;
-            ccursor[c as usize] += 1;
-        }
-
-        BinaryCsr {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            row_len,
-            col_ptr,
-            row_idx,
-            col_len,
-            nnz,
-        }
-    }
-
-    /// Extracts the sparsity pattern of a general CSR matrix (stored values
-    /// are ignored; every stored entry becomes a 1).
-    pub fn from_csr(matrix: &CsrMatrix) -> Self {
-        Self::from_pairs(
-            matrix.rows(),
-            matrix.cols(),
-            (0..matrix.rows()).flat_map(|i| matrix.row_iter(i).map(move |(c, _)| (i, c))),
-        )
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored (1-valued) entries.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Column indices of row `i`, ascending.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        let start = self.row_ptr[i] as usize;
-        &self.col_idx[start..start + self.row_len[i] as usize]
-    }
-
-    /// Row indices of column `c`, ascending (the CSC mirror).
-    #[inline]
-    pub fn col(&self, c: usize) -> &[u32] {
-        let start = self.col_ptr[c] as usize;
-        &self.row_idx[start..start + self.col_len[c] as usize]
-    }
-
-    /// Iterator over the column indices of row `i`.
-    #[inline]
-    pub fn row_iter(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.row(i).iter().map(|&c| c as usize)
-    }
-
-    /// Number of entries in row `i`.
-    #[inline]
-    pub fn row_nnz(&self, i: usize) -> usize {
-        self.row_len[i] as usize
-    }
-
-    /// Number of entries in column `c`.
-    #[inline]
-    pub fn col_nnz(&self, c: usize) -> usize {
-        self.col_len[c] as usize
-    }
-
-    /// Spare insert slots left in row `i`'s span.
-    #[inline]
-    pub fn row_slack(&self, i: usize) -> usize {
-        (self.row_ptr[i + 1] - self.row_ptr[i]) as usize - self.row_len[i] as usize
-    }
-
-    /// Spare insert slots left in column `c`'s span.
-    #[inline]
-    pub fn col_slack(&self, c: usize) -> usize {
-        (self.col_ptr[c + 1] - self.col_ptr[c]) as usize - self.col_len[c] as usize
-    }
-
-    /// Per-row entry counts as `f64` (`C · 1`).
-    pub fn row_counts(&self) -> Vec<f64> {
-        (0..self.rows).map(|i| self.row_nnz(i) as f64).collect()
-    }
-
-    /// Per-column entry counts as `f64` (`Cᵀ · 1`).
-    pub fn col_counts(&self) -> Vec<f64> {
-        (0..self.cols).map(|c| self.col_nnz(c) as f64).collect()
-    }
-
-    /// `true` when entry `(r, c)` is stored.
-    pub fn contains(&self, r: usize, c: usize) -> bool {
-        r < self.rows && c < self.cols && self.row(r).binary_search(&(c as u32)).is_ok()
-    }
-
-    /// Applies an edit batch in place, patching the CSR arrays *and* the
-    /// CSC mirror in `O(w·nnz(delta))` (`w` = width of the touched
-    /// rows/columns) — no rebuild, no allocation.
-    ///
-    /// Removes are applied before adds, so a delta may move an entry within
-    /// a row without intermediate capacity. On any error the matrix is
-    /// rolled back to its exact pre-delta state; [`DeltaError::RowFull`] /
-    /// [`DeltaError::ColFull`] signal that the caller should rebuild with
-    /// more slack ([`Self::with_slack`]).
-    pub fn apply_delta(&mut self, delta: &PatternDelta) -> Result<(), DeltaError> {
-        // Phase 1: removes (cannot hit capacity limits).
-        for (k, &(r, c)) in delta.removes.iter().enumerate() {
-            if let Err(e) = self.remove_entry(r, c) {
-                // Roll back the removes already applied; their slots are
-                // guaranteed free because they were just vacated.
-                for &(rr, cc) in delta.removes[..k].iter().rev() {
-                    self.insert_entry(rr, cc).expect("rollback re-insert");
-                }
-                return Err(e);
-            }
-        }
-        // Phase 2: adds.
-        for (k, &(r, c)) in delta.adds.iter().enumerate() {
-            if let Err(e) = self.insert_entry(r, c) {
-                for &(rr, cc) in delta.adds[..k].iter().rev() {
-                    self.remove_entry(rr, cc).expect("rollback remove");
-                }
-                for &(rr, cc) in delta.removes.iter().rev() {
-                    self.insert_entry(rr, cc).expect("rollback re-insert");
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Inserts `(r, c)` into both the CSR row and the CSC column, keeping
-    /// each sorted by shifting the tail of the stored prefix.
-    fn insert_entry(&mut self, r: u32, c: u32) -> Result<(), DeltaError> {
-        if (r as usize) >= self.rows || (c as usize) >= self.cols {
-            return Err(DeltaError::OutOfBounds { row: r, col: c });
-        }
-        let (ri, ci) = (r as usize, c as usize);
-        let pos = match self.row(ri).binary_search(&c) {
-            Ok(_) => return Err(DeltaError::Duplicate { row: r, col: c }),
-            Err(p) => p,
-        };
-        if self.row_slack(ri) == 0 {
-            return Err(DeltaError::RowFull { row: r });
-        }
-        if self.col_slack(ci) == 0 {
-            return Err(DeltaError::ColFull { col: c });
-        }
-        let start = self.row_ptr[ri] as usize;
-        let len = self.row_len[ri] as usize;
-        self.col_idx
-            .copy_within(start + pos..start + len, start + pos + 1);
-        self.col_idx[start + pos] = c;
-        self.row_len[ri] += 1;
-
-        let cpos = self
-            .col(ci)
-            .binary_search(&r)
-            .expect_err("CSR/CSC mirror out of sync");
-        let cstart = self.col_ptr[ci] as usize;
-        let clen = self.col_len[ci] as usize;
-        self.row_idx
-            .copy_within(cstart + cpos..cstart + clen, cstart + cpos + 1);
-        self.row_idx[cstart + cpos] = r;
-        self.col_len[ci] += 1;
-        self.nnz += 1;
-        Ok(())
-    }
-
-    /// Removes `(r, c)` from both the CSR row and the CSC column.
-    fn remove_entry(&mut self, r: u32, c: u32) -> Result<(), DeltaError> {
-        if (r as usize) >= self.rows || (c as usize) >= self.cols {
-            return Err(DeltaError::OutOfBounds { row: r, col: c });
-        }
-        let (ri, ci) = (r as usize, c as usize);
-        let pos = match self.row(ri).binary_search(&c) {
-            Ok(p) => p,
-            Err(_) => return Err(DeltaError::Missing { row: r, col: c }),
-        };
-        let start = self.row_ptr[ri] as usize;
-        let len = self.row_len[ri] as usize;
-        self.col_idx
-            .copy_within(start + pos + 1..start + len, start + pos);
-        self.row_len[ri] -= 1;
-
-        let cpos = self
-            .col(ci)
-            .binary_search(&r)
-            .expect("CSR/CSC mirror out of sync");
-        let cstart = self.col_ptr[ci] as usize;
-        let clen = self.col_len[ci] as usize;
-        self.row_idx
-            .copy_within(cstart + cpos + 1..cstart + clen, cstart + cpos);
-        self.col_len[ci] -= 1;
-        self.nnz -= 1;
-        Ok(())
-    }
-
-    /// Row-parallel gather: `y[i] = f(i, columns of row i)`.
-    ///
-    /// This is the fusion point for every `C`-sided product: the closure
-    /// owns the full row reduction, so diagonal scalings fold into the same
-    /// pass over the index array.
-    #[inline]
-    pub fn rows_gather(&self, y: &mut [f64], f: impl Fn(usize, &[u32]) -> f64 + Sync) {
-        assert_eq!(y.len(), self.rows, "rows_gather: output length mismatch");
-        parallel::par_fill(y, |offset, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let i = offset + k;
-                *slot = f(i, self.row(i));
-            }
-        });
-    }
-
-    /// Column-parallel gather: `y[c] = f(c, rows of column c)`.
-    ///
-    /// The CSC mirror turns `Cᵀ`-sided products from a serial scatter into
-    /// an embarrassingly parallel gather.
-    #[inline]
-    pub fn cols_gather(&self, y: &mut [f64], f: impl Fn(usize, &[u32]) -> f64 + Sync) {
-        assert_eq!(y.len(), self.cols, "cols_gather: output length mismatch");
-        parallel::par_fill(y, |offset, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let c = offset + k;
-                *slot = f(c, self.col(c));
-            }
-        });
-    }
-
-    /// `y = C x`.
-    pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "matvec: x length mismatch");
-        self.rows_gather(y, |_, cols| gather_sum(cols, x));
-    }
-
-    /// `y = Cᵀ x` via the CSC mirror (gather, not scatter).
-    pub fn matvec_t(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.rows, "matvec_t: x length mismatch");
-        self.cols_gather(y, |_, rows| gather_sum(rows, x));
-    }
-
-    /// Sums `x` at the given indices: the reduction at the heart of every
-    /// pattern product. Four independent accumulators break the
-    /// floating-point add dependency chain, which otherwise pins the whole
-    /// kernel engine to FP-add *latency* (≈4 cycles per entry) instead of
-    /// throughput — the single biggest serial win over the seed kernels.
-    #[inline]
-    pub fn gather_sum(idx: &[u32], x: &[f64]) -> f64 {
-        gather_sum(idx, x)
-    }
-
-    /// Like [`Self::gather_sum`], but each gathered element is multiplied
-    /// by its per-index scale first: `Σ x[i]·scale[i]`. Used to fuse
-    /// `Dr⁻¹`/`Dr^{-1/2}` input scalings into the same pass.
-    #[inline]
-    pub fn gather_sum_scaled(idx: &[u32], x: &[f64], scale: &[f64]) -> f64 {
-        gather_sum_scaled(idx, x, scale)
-    }
-
-    /// Converts back to a general CSR matrix with all values 1.0
-    /// (round-trip/testing use).
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_triplets(
-            self.rows,
-            self.cols,
-            (0..self.rows).flat_map(|i| self.row_iter(i).map(move |c| (i, c, 1.0))),
-        )
-    }
-
-    /// Densifies (test/debug use only).
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut m = DenseMatrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for c in self.row_iter(i) {
-                m.set(i, c, 1.0);
-            }
-        }
-        m
-    }
-}
-
-/// Logical equality: same dimensions and same entry set. Two matrices with
-/// different slack layouts (e.g. a delta-patched one and a packed rebuild)
-/// compare equal when they store the same pattern.
-impl PartialEq for BinaryCsr {
-    fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.nnz == other.nnz
-            && (0..self.rows).all(|i| self.row(i) == other.row(i))
-    }
-}
-
-impl Eq for BinaryCsr {}
-
+/// Sums `x` at the given indices: the reduction at the heart of every
+/// pattern product. Four independent accumulators break the
+/// floating-point add dependency chain, which otherwise pins the whole
+/// kernel engine to FP-add *latency* (≈4 cycles per entry) instead of
+/// throughput.
 #[inline]
 pub(crate) fn gather_sum(idx: &[u32], x: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
@@ -547,6 +122,9 @@ pub(crate) fn gather_sum(idx: &[u32], x: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
+/// Like [`gather_sum`], but each gathered element is multiplied by its
+/// per-index scale first: `Σ x[i]·scale[i]`. Used to fuse
+/// `Dr⁻¹`/`Dr^{-1/2}` input scalings into the same pass.
 #[inline]
 pub(crate) fn gather_sum_scaled(idx: &[u32], x: &[f64], scale: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
@@ -565,36 +143,67 @@ pub(crate) fn gather_sum_scaled(idx: &[u32], x: &[f64], scale: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
+/// The delta contract on the u32 sparse-lane layout
+/// ([`DensityPlan::force_csr`]), where slack capacity and rollback apply;
+/// `hybrid.rs` covers the bitmap and mixed layouts.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CsrMatrix, DensityPlan, HybridPattern};
 
-    fn sample() -> BinaryCsr {
+    fn csr(
+        rows: usize,
+        cols: usize,
+        pairs: &[(usize, usize)],
+        row_slack: usize,
+        col_slack: usize,
+    ) -> HybridPattern {
+        HybridPattern::with_plan(
+            rows,
+            cols,
+            pairs.iter().copied(),
+            row_slack,
+            col_slack,
+            DensityPlan::force_csr(),
+        )
+    }
+
+    const SAMPLE: [(usize, usize); 4] = [(0, 0), (0, 2), (2, 0), (2, 1)];
+
+    fn sample() -> HybridPattern {
         // [1 0 1]
         // [0 0 0]
         // [1 1 0]
-        BinaryCsr::from_pairs(3, 3, [(0, 0), (0, 2), (2, 0), (2, 1)])
+        csr(3, 3, &SAMPLE, 0, 0)
+    }
+
+    fn row(m: &HybridPattern, i: usize) -> Vec<usize> {
+        m.row_iter(i).collect()
+    }
+
+    fn col(m: &HybridPattern, c: usize) -> Vec<usize> {
+        m.col_iter(c).collect()
     }
 
     #[test]
     fn construction_and_counts() {
         let m = sample();
         assert_eq!(m.nnz(), 4);
-        assert_eq!(m.row(0), &[0, 2]);
-        assert_eq!(m.row(1), &[] as &[u32]);
-        assert_eq!(m.row(2), &[0, 1]);
-        assert_eq!(m.col(0), &[0, 2]);
-        assert_eq!(m.col(1), &[2]);
-        assert_eq!(m.col(2), &[0]);
+        assert_eq!(row(&m, 0), [0, 2]);
+        assert_eq!(row(&m, 1), [] as [usize; 0]);
+        assert_eq!(row(&m, 2), [0, 1]);
+        assert_eq!(col(&m, 0), [0, 2]);
+        assert_eq!(col(&m, 1), [2]);
+        assert_eq!(col(&m, 2), [0]);
         assert_eq!(m.row_counts(), vec![2.0, 0.0, 2.0]);
         assert_eq!(m.col_counts(), vec![2.0, 1.0, 1.0]);
     }
 
     #[test]
     fn duplicates_collapse() {
-        let m = BinaryCsr::from_pairs(2, 2, [(0, 1), (0, 1), (1, 0)]);
+        let m = csr(2, 2, &[(0, 1), (0, 1), (1, 0)], 0, 0);
         assert_eq!(m.nnz(), 2);
-        assert_eq!(m.row(0), &[1]);
+        assert_eq!(row(&m, 0), [1]);
     }
 
     #[test]
@@ -617,16 +226,18 @@ mod tests {
 
     #[test]
     fn csr_roundtrip_preserves_pattern() {
-        let csr =
+        let valued =
             CsrMatrix::from_triplets(3, 4, [(0, 1, 5.0), (1, 0, -2.0), (1, 3, 1.0), (2, 2, 7.0)]);
-        let pattern = BinaryCsr::from_csr(&csr);
+        let pairs: Vec<(usize, usize)> = (0..valued.rows())
+            .flat_map(|i| valued.row_iter(i).map(move |(c, _)| (i, c)))
+            .collect();
+        let pattern = csr(valued.rows(), valued.cols(), &pairs, 0, 0);
         let back = pattern.to_csr();
-        assert_eq!(back.rows(), csr.rows());
-        assert_eq!(back.cols(), csr.cols());
-        for i in 0..csr.rows() {
-            let want: Vec<usize> = csr.row_iter(i).map(|(c, _)| c).collect();
-            let got: Vec<usize> = pattern.row_iter(i).collect();
-            assert_eq!(got, want, "row {i}");
+        assert_eq!(back.rows(), valued.rows());
+        assert_eq!(back.cols(), valued.cols());
+        for i in 0..valued.rows() {
+            let want: Vec<usize> = valued.row_iter(i).map(|(c, _)| c).collect();
+            assert_eq!(row(&pattern, i), want, "row {i}");
             // All values are 1 after the round trip.
             assert!(back.row_iter(i).all(|(_, v)| v == 1.0));
         }
@@ -634,27 +245,32 @@ mod tests {
 
     #[test]
     fn gathers_fuse_scalings() {
+        // Six indices: one full 4-accumulator chunk plus a two-entry tail.
+        // Small integers and halves keep every grouping exact.
+        let idx = [0u32, 2, 3, 5, 6, 7];
+        let x = [1.0, 100.0, 2.0, 3.0, 100.0, 4.0, 5.0, 6.0];
+        let scale = [0.5, 9.0, 2.0, 1.0, 9.0, 0.5, 2.0, 1.0];
+        assert_eq!(gather_sum(&idx, &x), 21.0);
+        assert_eq!(gather_sum_scaled(&idx, &x, &scale), 25.5);
+        assert_eq!(gather_sum(&[], &x), 0.0);
+        // Through the lane closures: y[i] = scale[i] * rowsum.
         let m = sample();
-        let x = [1.0, 1.0, 1.0];
-        let scale = [0.5, 10.0, 2.0];
+        let ones = [1.0, 1.0, 1.0];
         let mut y = vec![0.0; 3];
-        // y[i] = scale[i] * rowsum
-        m.rows_gather(&mut y, |i, cols| {
-            scale[i] * cols.iter().map(|&c| x[c as usize]).sum::<f64>()
-        });
+        m.rows_gather(&mut y, |i, lane| scale[i] * lane.sum(&ones));
         assert_eq!(y, vec![1.0, 0.0, 4.0]);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn rejects_out_of_bounds() {
-        BinaryCsr::from_pairs(2, 2, [(2, 0)]);
+        csr(2, 2, &[(2, 0)], 0, 0);
     }
 
     #[test]
     fn slack_layout_is_logically_invisible() {
         let packed = sample();
-        let slacked = BinaryCsr::with_slack(3, 3, [(0, 0), (0, 2), (2, 0), (2, 1)], 2, 3);
+        let slacked = csr(3, 3, &SAMPLE, 2, 3);
         assert_eq!(packed, slacked);
         assert_eq!(slacked.row_slack(0), 2);
         assert_eq!(slacked.col_slack(1), 3);
@@ -668,24 +284,24 @@ mod tests {
 
     #[test]
     fn apply_delta_matches_rebuild() {
-        let mut m = BinaryCsr::with_slack(3, 3, [(0, 0), (0, 2), (2, 0), (2, 1)], 2, 2);
+        let mut m = csr(3, 3, &SAMPLE, 2, 2);
         m.apply_delta(&PatternDelta {
             removes: vec![(0, 2), (2, 1)],
             adds: vec![(1, 1), (0, 1), (2, 2)],
         })
         .unwrap();
-        let rebuilt = BinaryCsr::from_pairs(3, 3, [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)]);
+        let rebuilt = csr(3, 3, &[(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)], 0, 0);
         assert_eq!(m, rebuilt);
         assert_eq!(m.nnz(), 5);
-        // CSC mirror patched too.
-        assert_eq!(m.col(1), &[0, 1]);
-        assert_eq!(m.col(2), &[2]);
+        // Mirror patched too.
+        assert_eq!(col(&m, 1), [0, 1]);
+        assert_eq!(col(&m, 2), [2]);
         assert!(m.contains(1, 1) && !m.contains(0, 2));
     }
 
     #[test]
     fn apply_delta_rolls_back_on_capacity() {
-        let reference = BinaryCsr::with_slack(2, 2, [(0, 0)], 1, 1);
+        let reference = csr(2, 2, &[(0, 0)], 1, 1);
         let mut m = reference.clone();
         // Second add overflows row 0 (capacity 1 + slack 1 = 2, needs 3);
         // the first add and the remove must both be rolled back.
@@ -705,7 +321,7 @@ mod tests {
 
     #[test]
     fn apply_delta_rejects_inconsistent_edits() {
-        let mut m = BinaryCsr::with_slack(2, 2, [(0, 0)], 2, 2);
+        let mut m = csr(2, 2, &[(0, 0)], 2, 2);
         let reference = m.clone();
         assert_eq!(
             m.apply_delta(&PatternDelta {
@@ -735,24 +351,24 @@ mod tests {
     fn delta_can_move_within_full_row() {
         // Zero slack: a remove+add inside the same row/column pair must
         // still succeed because removes free the slot first.
-        let mut m = BinaryCsr::from_pairs(2, 2, [(0, 0), (1, 0)]);
+        let mut m = csr(2, 2, &[(0, 0), (1, 0)], 0, 0);
         m.apply_delta(&PatternDelta {
             removes: vec![(0, 0)],
             adds: vec![(1, 1)],
         })
         .unwrap_err(); // col 1 has zero capacity
-        let mut m2 = BinaryCsr::from_pairs(2, 2, [(0, 0), (1, 0)]);
+        let mut m2 = csr(2, 2, &[(0, 0), (1, 0)], 0, 0);
         m2.apply_delta(&PatternDelta {
             removes: vec![(0, 0)],
             adds: vec![(1, 0)],
         })
         .unwrap_err(); // duplicate (1,0)
-        let mut m3 = BinaryCsr::from_pairs(2, 2, [(0, 0), (1, 1)]);
+        let mut m3 = csr(2, 2, &[(0, 0), (1, 1)], 0, 0);
         m3.apply_delta(&PatternDelta {
             removes: vec![(0, 0), (1, 1)],
             adds: vec![(0, 1), (1, 0)],
         })
         .unwrap();
-        assert_eq!(m3, BinaryCsr::from_pairs(2, 2, [(0, 1), (1, 0)]));
+        assert_eq!(m3, csr(2, 2, &[(0, 1), (1, 0)], 0, 0));
     }
 }

@@ -109,7 +109,7 @@ pub fn bitmap_sum(words: &[u64], x: &[f64]) -> f64 {
 }
 
 /// `Σ x[i]·scale[i]` over the set bits of `words` — the bitmap analogue of
-/// [`crate::BinaryCsr::gather_sum_scaled`]. `scale` must be at least as
+/// the sparse-lane `gather_sum_scaled`. `scale` must be at least as
 /// long as `x` and contain only finite values (masked-off `x` lanes load as
 /// `+0.0`, and `0 · finite = 0` keeps them out of the sum).
 #[inline]

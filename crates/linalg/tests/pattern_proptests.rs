@@ -1,26 +1,59 @@
-//! Property tests for the pattern-matrix kernel engine: `BinaryCsr` must
-//! agree with the general `CsrMatrix` on every product, round-trip its
-//! pattern exactly, and produce identical results serially and in
-//! parallel — including degenerate shapes (empty rows, empty columns).
+//! Property tests for the u32 sparse-lane layout of `HybridPattern`
+//! (`DensityPlan::force_csr`, where slack capacity and rollback apply): it
+//! must agree with the general `CsrMatrix` on every product, round-trip its
+//! pattern exactly, roll failed deltas back completely, and produce
+//! identical results serially and in parallel — including degenerate
+//! shapes (empty rows, empty columns).
 
 use hnd_linalg::parallel::with_threads;
-use hnd_linalg::{BinaryCsr, PatternDelta};
+use hnd_linalg::{CsrMatrix, DensityPlan, HybridPattern, PatternDelta};
 use proptest::prelude::*;
+
+/// A sparse-lane pattern with `row_slack`/`col_slack` spare slots per lane.
+fn csr_pattern(
+    rows: usize,
+    cols: usize,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+    row_slack: usize,
+    col_slack: usize,
+) -> HybridPattern {
+    HybridPattern::with_plan(
+        rows,
+        cols,
+        pairs,
+        row_slack,
+        col_slack,
+        DensityPlan::force_csr(),
+    )
+}
+
+/// The pattern of a general CSR matrix (stored values ignored).
+fn from_csr(matrix: &CsrMatrix) -> HybridPattern {
+    csr_pattern(
+        matrix.rows(),
+        matrix.cols(),
+        (0..matrix.rows()).flat_map(|i| matrix.row_iter(i).map(move |(c, _)| (i, c))),
+        0,
+        0,
+    )
+}
 
 /// Random sparsity pattern with deliberate empty rows/columns: dimensions
 /// up to 24×24, each candidate entry kept with probability ~1/3, and the
 /// last row/column left empty half of the time by bounding indices.
-fn random_pattern() -> impl Strategy<Value = BinaryCsr> {
+fn random_pattern() -> impl Strategy<Value = HybridPattern> {
     (1usize..=24, 1usize..=24).prop_flat_map(|(rows, cols)| {
         proptest::collection::vec((0..rows, 0..cols, proptest::bool::ANY), 0..160).prop_map(
             move |entries| {
-                BinaryCsr::from_pairs(
+                csr_pattern(
                     rows,
                     cols,
                     entries
                         .into_iter()
                         .filter(|&(_, _, keep)| keep)
                         .map(|(r, c, _)| (r, c)),
+                    0,
+                    0,
                 )
             },
         )
@@ -61,7 +94,7 @@ proptest! {
 
     #[test]
     fn csr_roundtrip_is_exact(p in random_pattern()) {
-        let back = BinaryCsr::from_csr(&p.to_csr());
+        let back = from_csr(&p.to_csr());
         prop_assert_eq!(&back, &p);
     }
 
@@ -110,7 +143,7 @@ proptest! {
         })
     ) {
         // Enough slack that no batch can exhaust a span (≤ 9 adds/batch).
-        let mut live = BinaryCsr::with_slack(rows, cols, seed.iter().copied(), 16, 16);
+        let mut live = csr_pattern(rows, cols, seed.iter().copied(), 16, 16);
         let mut truth: std::collections::BTreeSet<(usize, usize)> =
             seed.into_iter().collect();
         for batch in flips {
@@ -127,12 +160,16 @@ proptest! {
                 }
             }
             live.apply_delta(&delta).expect("slack is sufficient");
-            let rebuilt = BinaryCsr::from_pairs(rows, cols, truth.iter().copied());
+            let rebuilt = csr_pattern(rows, cols, truth.iter().copied(), 0, 0);
             // Logical equality covers the CSR side …
             prop_assert_eq!(&live, &rebuilt);
-            // … and the CSC mirror must agree bitwise column by column.
+            // … and the column mirror must agree column by column.
             for c in 0..cols {
-                prop_assert_eq!(live.col(c), rebuilt.col(c), "column {} mirror", c);
+                prop_assert_eq!(
+                    live.col_iter(c).collect::<Vec<_>>(),
+                    rebuilt.col_iter(c).collect::<Vec<_>>(),
+                    "column {} mirror", c
+                );
             }
             prop_assert_eq!(live.row_counts(), rebuilt.row_counts());
             prop_assert_eq!(live.col_counts(), rebuilt.col_counts());
@@ -198,7 +235,7 @@ proptest! {
                 for &(r, c) in &delta.adds {
                     truth.insert((r as usize, c as usize));
                 }
-                let rebuilt = BinaryCsr::from_pairs(rows, cols, truth);
+                let rebuilt = csr_pattern(rows, cols, truth, 0, 0);
                 prop_assert_eq!(&live, &rebuilt);
             }
         }
@@ -206,12 +243,12 @@ proptest! {
 
     #[test]
     fn mirror_is_consistent(p in random_pattern()) {
-        // Every CSR entry appears in the CSC mirror and vice versa.
+        // Every row entry appears in the column mirror and vice versa.
         let mut from_rows: Vec<(usize, usize)> = (0..p.rows())
             .flat_map(|r| p.row_iter(r).map(move |c| (r, c)))
             .collect();
         let mut from_cols: Vec<(usize, usize)> = (0..p.cols())
-            .flat_map(|c| p.col(c).iter().map(move |&r| (r as usize, c)))
+            .flat_map(|c| p.col_iter(c).map(move |r| (r, c)))
             .collect();
         from_rows.sort_unstable();
         from_cols.sort_unstable();
@@ -225,10 +262,12 @@ proptest! {
 fn large_vector_parallel_agreement() {
     let rows = 40_000usize;
     let cols = 64usize;
-    let p = BinaryCsr::from_pairs(
+    let p = csr_pattern(
         rows,
         cols,
         (0..rows).flat_map(|r| (0..4).map(move |k| (r, (r * 7 + k * 13) % 64))),
+        0,
+        0,
     );
     let x = dense_vec(cols, 0.3);
     let serial = with_threads(1, || {

@@ -44,4 +44,4 @@ pub use catalog::{
     CATALOG_VERSION,
 };
 pub use model::{density_bucket, CostModel, SessionShape, HIST_BUCKETS};
-pub use planner::{PlanDecision, PlanMode, Planner};
+pub use planner::{PlanDecision, Planner};

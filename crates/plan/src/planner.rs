@@ -19,26 +19,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Whether an engine consults its planner or pins the PR-5 constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Plan per session from the cost model when a planner is available.
-    #[default]
-    Auto,
-    /// Ignore any planner: hand-tuned fallback constants only (the
-    /// `HND_PLAN=static` behavior, for A/B runs and debugging).
-    Static,
-}
-
-impl PlanMode {
-    /// Resolves the `HND_PLAN` environment override: `static` pins the
-    /// fallback constants, anything else (or unset) means [`PlanMode::Auto`].
-    pub fn from_env() -> PlanMode {
-        match std::env::var("HND_PLAN") {
-            Ok(v) if v.eq_ignore_ascii_case("static") => PlanMode::Static,
-            _ => PlanMode::Auto,
-        }
-    }
+/// `true` when an `HND_PLAN` value pins the hand-tuned fallback constants
+/// (`static`, any case); anything else, or unset, plans from the catalog.
+fn pins_static(hnd_plan: Option<&str>) -> bool {
+    hnd_plan.is_some_and(|v| v.eq_ignore_ascii_case("static"))
 }
 
 /// Everything an engine needs to configure itself for one session.
@@ -146,7 +130,7 @@ impl Planner {
     pub fn shared() -> Option<&'static Planner> {
         static SHARED: OnceLock<Option<&'static Planner>> = OnceLock::new();
         *SHARED.get_or_init(|| {
-            if PlanMode::from_env() == PlanMode::Static {
+            if pins_static(std::env::var("HND_PLAN").ok().as_deref()) {
                 return None;
             }
             let catalog = KernelCatalog::load_checked(&catalog_path()).ok()?;
@@ -343,8 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_mode_env_parsing() {
+    fn hnd_plan_static_env_parsing() {
         // Uses the parsing helper directly (env mutation in tests races).
-        assert_eq!(PlanMode::default(), PlanMode::Auto);
+        assert!(pins_static(Some("static")));
+        assert!(pins_static(Some("STATIC")));
+        assert!(!pins_static(Some("auto")));
+        assert!(!pins_static(Some("")));
+        assert!(!pins_static(None));
     }
 }

@@ -1,7 +1,7 @@
 //! The [`ResponseMatrix`] type.
 
 use crate::{ConnectivityReport, ResponseError};
-use hnd_linalg::{BinaryCsr, CsrMatrix};
+use hnd_linalg::CsrMatrix;
 
 /// Responses of `m` users to `n` heterogeneous multiple-choice items
 /// (Definition 1 of the paper).
@@ -198,27 +198,16 @@ impl ResponseMatrix {
     }
 
     /// The one-hot binary response matrix `C` (`m × Σkᵢ`, entries 0/1) in
-    /// CSR form — Figure 1b of the paper. Prefer [`Self::to_binary_pattern`]
-    /// for compute kernels; this general form remains for code that mixes
-    /// `C` with valued matrices (e.g. the C1P checks).
+    /// CSR form — Figure 1b of the paper. Compute kernels run on the
+    /// structure-only pattern of [`ResponseOps`](crate::ResponseOps); this
+    /// general form remains for code that mixes `C` with valued matrices
+    /// (e.g. the C1P checks).
     pub fn to_binary_csr(&self) -> CsrMatrix {
         CsrMatrix::from_triplets(
             self.n_users,
             self.total_options(),
             self.iter_choices()
                 .map(|(u, i, o)| (u, self.one_hot_column(i, o), 1.0)),
-        )
-    }
-
-    /// The binary response matrix as a structure-only pattern (u32 indices,
-    /// no values array, CSC mirror precomputed) — the representation the
-    /// spectral kernel engine runs on.
-    pub fn to_binary_pattern(&self) -> BinaryCsr {
-        BinaryCsr::from_pairs(
-            self.n_users,
-            self.total_options(),
-            self.iter_choices()
-                .map(|(u, i, o)| (u, self.one_hot_column(i, o))),
         )
     }
 

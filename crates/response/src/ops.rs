@@ -3,7 +3,7 @@
 //! Every spectral method of the paper is a loop over four products:
 //! `w = Cᵀs`, `s = Cw`, and their row/column-normalized versions
 //! `w = (Ccol)ᵀs`, `s = Crow·w` (Section III-B). [`ResponseOps`] bundles the
-//! structure-only pattern form of `C` ([`BinaryCsr`]) with the row/column
+//! structure-only pattern form of `C` ([`HybridPattern`]) with the row/column
 //! counts so each product costs `O(nnz) = O(mn)` and nothing larger than
 //! `C` is ever materialized.
 //!

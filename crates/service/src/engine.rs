@@ -18,7 +18,7 @@
 use crate::cache::{CachedSolve, WarmStartCache};
 use hnd_core::{SolveState, SolverKind, SolverOpts, SpectralSolver, Target};
 use hnd_linalg::{DensityPlan, FormatCounts};
-use hnd_plan::{KernelClass, PlanDecision, PlanMode, Planner, SessionShape};
+use hnd_plan::{KernelClass, PlanDecision, Planner, SessionShape};
 use hnd_response::{
     RankError, Ranking, ResponseDelta, ResponseEdit, ResponseError, ResponseLog, ResponseMatrix,
     ResponseOps,
@@ -43,14 +43,7 @@ pub enum QueryTier {
     /// a fraction of the iterations.
     #[default]
     Certified,
-    /// Dashboard tier: cap the iteration budget at
-    /// [`COARSE_MAX_ITER`] and serve whatever the solver reached — no
-    /// certificate, lowest latency.
-    Coarse,
 }
-
-/// Iteration cap of [`QueryTier::Coarse`] solves.
-pub const COARSE_MAX_ITER: usize = 32;
 
 /// Safety multiplier on the self-calibrated per-edit influence rates used
 /// by the delta-skip fast path (the rates are running maxima of observed
@@ -97,15 +90,14 @@ struct ApproxSolve {
     /// The `k` whose head this solve certifies (`usize::MAX` for a
     /// rank-stable or exact solve — every head is covered).
     k: usize,
-    /// Whether the entry is backed by a certificate (certified/exact
-    /// solves) — only these may seed the skip path.
-    certified: bool,
     ranking: Ranking,
     /// `ranking.scores` normalized to unit L2.
     norm_scores: Vec<f64>,
-    /// Indices of `norm_scores` sorted best-first — computed once per
-    /// solve so each skip evaluation stays O(m), not O(m log m) (at large
-    /// rosters the sort would rival the warm solve it skips).
+    /// Users sorted best-first by the raw `ranking.scores` (so a served
+    /// head is ordered by the scores it returns; normalization can merge
+    /// near-ties) — computed once per solve so each skip evaluation stays
+    /// O(m), not O(m log m) (at large rosters the sort would rival the
+    /// warm solve it skips).
     order: Vec<usize>,
     /// The residual tolerance the producing solve ran at — the resolution
     /// of `norm_scores`, and hence the noise band of any skip decision
@@ -204,13 +196,10 @@ pub struct EngineOpts {
     /// density, and the delta-vs-rebuild patch budget. Explicit
     /// configuration still wins — a pinned [`Self::shard_plan`] or a
     /// non-default [`Self::density_plan`] is honored verbatim — and with
-    /// no planner the hand-tuned constants above serve unchanged.
+    /// no planner (`None`, which is also what `HND_PLAN=static` makes
+    /// [`Planner::shared`] return) the hand-tuned constants above serve
+    /// unchanged.
     pub planner: Option<&'static Planner>,
-    /// Planner gate: [`PlanMode::Static`] ignores [`Self::planner`] and
-    /// pins the hand-tuned fallback constants (the `HND_PLAN=static`
-    /// behavior, which the default picks up from the environment) — the
-    /// A/B switch for benchmarking planned against static configuration.
-    pub plan_mode: PlanMode,
 }
 
 impl Default for EngineOpts {
@@ -231,28 +220,18 @@ impl Default for EngineOpts {
             shard_plan: None,
             density_plan: DensityPlan::default(),
             planner: Planner::shared(),
-            plan_mode: PlanMode::from_env(),
         }
     }
 }
 
 impl EngineOpts {
-    /// The planner consulted for this configuration: the wired planner,
-    /// unless [`PlanMode::Static`] pins the fallback constants.
-    fn active_planner(&self) -> Option<&'static Planner> {
-        match self.plan_mode {
-            PlanMode::Auto => self.planner,
-            PlanMode::Static => None,
-        }
-    }
-
     /// Plans one session from the measured catalog. `None` (fall back to
     /// the hand-tuned constants) when no planner is active. Explicitly
     /// configured options are honored: a pinned shard plan keeps the PR-5
     /// activation logic, a non-default density plan overrides the measured
     /// break-evens.
     fn plan_session(&self, matrix: &ResponseMatrix) -> Option<PlanDecision> {
-        let planner = self.active_planner()?;
+        let planner = self.planner?;
         let shape = SessionShape::from_counts(&matrix.row_counts(), &matrix.col_counts());
         // The sharded backend only exists for the power solver, and a
         // pinned shard plan means the caller decides about sharding.
@@ -735,7 +714,7 @@ impl RankingEngine {
     /// the model predicted nonzero work — unmatched actuals would skew the
     /// correction blend).
     fn observe_patch(&mut self, sparse_edits: usize, took: std::time::Duration) {
-        let Some(planner) = self.opts.active_planner() else {
+        let Some(planner) = self.opts.planner else {
             return;
         };
         let Some(decision) = &self.decision else {
@@ -764,7 +743,7 @@ impl RankingEngine {
             p.event(EventKind::Rebuild { ns });
             p.stage(Stage::Rebuild, ns);
         }
-        if let (Some(planner), Some(decision)) = (self.opts.active_planner(), &self.decision) {
+        if let (Some(planner), Some(decision)) = (self.opts.planner, &self.decision) {
             let predicted = decision.predicted_rebuild_ns as u64;
             if predicted > 0 {
                 let actual = took.as_nanos() as u64;
@@ -877,7 +856,7 @@ impl RankingEngine {
         // prediction (warm starts converge in a handful of steps and would
         // read as a spurious 10× over-prediction).
         if warm.is_none() {
-            if let (Some(planner), Some(decision)) = (self.opts.active_planner(), &self.decision) {
+            if let (Some(planner), Some(decision)) = (self.opts.planner, &self.decision) {
                 let predicted = decision.predicted_solve_ns as u64;
                 if predicted > 0 {
                     let actual = started.elapsed().as_nanos() as u64;
@@ -903,12 +882,11 @@ impl RankingEngine {
         // certified queries skip or warm-start from the best data.
         let norm = unit_scores(&outcome.ranking.scores);
         self.observe_perturbation(version, &norm, self.opts.solver_opts.tol);
-        let order = sorted_order(&norm);
+        let order = sorted_order(&outcome.ranking.scores);
         let m = norm.len();
         self.approx = Some(ApproxSolve {
             version,
             k: usize::MAX,
-            certified: true,
             ranking: outcome.ranking.clone(),
             norm_scores: norm,
             order,
@@ -951,17 +929,7 @@ impl RankingEngine {
                 if let Some(head) = self.try_skip_top_k(k) {
                     return Ok(head);
                 }
-                let ranking =
-                    self.solve_with_target(Target::TopK { k, margin: 0.0 }, None, k, true)?;
-                Ok(head_of(&ranking, k))
-            }
-            QueryTier::Coarse => {
-                let ranking = self.solve_with_target(
-                    Target::TopK { k, margin: 0.0 },
-                    Some(COARSE_MAX_ITER),
-                    k,
-                    false,
-                )?;
+                let ranking = self.solve_with_target(Target::TopK { k, margin: 0.0 }, k)?;
                 Ok(head_of(&ranking, k))
             }
         }
@@ -989,33 +957,18 @@ impl RankingEngine {
                     cached.ranking.clone()
                 } else {
                     let tol = self.opts.solver_opts.tol;
-                    self.solve_with_target(Target::RankStable { tol }, None, usize::MAX, true)?
+                    self.solve_with_target(Target::RankStable { tol }, usize::MAX)?
                 }
-            }
-            QueryTier::Coarse => {
-                let tol = self.opts.solver_opts.tol;
-                self.solve_with_target(
-                    Target::RankStable { tol },
-                    Some(COARSE_MAX_ITER),
-                    usize::MAX,
-                    false,
-                )?
             }
         };
         Ok(rank_position(&ranking.scores, user))
     }
 
-    /// A solve honoring an approximation target, warm-started from the
-    /// freshest state available (approx slot or exact cache). The result
-    /// lands in the approx slot only — the exact cache never holds an
-    /// early-terminated solution.
-    fn solve_with_target(
-        &mut self,
-        target: Target,
-        iter_cap: Option<usize>,
-        cert_k: usize,
-        certified: bool,
-    ) -> Result<Ranking, RankError> {
+    /// A certified solve honoring an approximation target, warm-started
+    /// from the freshest state available (approx slot or exact cache). The
+    /// result lands in the approx slot only — the exact cache never holds
+    /// an early-terminated solution.
+    fn solve_with_target(&mut self, target: Target, cert_k: usize) -> Result<Ranking, RankError> {
         self.advance();
         let version = self.prepared_version;
         let warm: Option<SolveState> = {
@@ -1031,17 +984,12 @@ impl RankingEngine {
         };
         let mut solver_opts = self.opts.solver_opts;
         solver_opts.target = target;
-        if certified {
-            // Certified solves buy skip headroom: the skip path's noise
-            // band scales with the cached solve's tolerance, and at the
-            // user tolerance that band rivals real top-k margins on large
-            // rosters. A tighter solve costs ln(1/factor) extra iterations
-            // once; every skip it unlocks repays that many times over.
-            solver_opts.tol *= CERT_TOL_FACTOR;
-        }
-        if let Some(cap) = iter_cap {
-            solver_opts.max_iter = solver_opts.max_iter.min(cap);
-        }
+        // Certified solves buy skip headroom: the skip path's noise band
+        // scales with the cached solve's tolerance, and at the user
+        // tolerance that band rivals real top-k margins on large rosters.
+        // A tighter solve costs ln(1/factor) extra iterations once; every
+        // skip it unlocks repays that many times over.
+        solver_opts.tol *= CERT_TOL_FACTOR;
         if let Some(p) = &self.probe {
             p.event(EventKind::SolveStart {
                 warm: warm.is_some(),
@@ -1084,12 +1032,11 @@ impl RankingEngine {
         let achieved_tol = outcome.error_bound.unwrap_or(solver_opts.tol);
         let norm = unit_scores(&outcome.ranking.scores);
         self.observe_perturbation(version, &norm, achieved_tol);
-        let order = sorted_order(&norm);
+        let order = sorted_order(&outcome.ranking.scores);
         let m = norm.len();
         self.approx = Some(ApproxSolve {
             version,
             k: cert_k,
-            certified,
             ranking: outcome.ranking.clone(),
             norm_scores: norm,
             order,
@@ -1129,7 +1076,7 @@ impl RankingEngine {
     fn try_skip_top_k(&mut self, k: usize) -> Option<Vec<(usize, f64)>> {
         let v_now = self.log.version();
         let prev = self.approx.as_ref()?;
-        if !prev.certified || (prev.k != usize::MAX && prev.k < k) {
+        if prev.k != usize::MAX && prev.k < k {
             return None;
         }
         if prev.version == v_now {
@@ -1255,7 +1202,7 @@ impl RankingEngine {
         let Some(prev) = &self.approx else {
             return;
         };
-        if !prev.certified || prev.version >= version || prev.norm_scores.len() != new_norm.len() {
+        if prev.version >= version || prev.norm_scores.len() != new_norm.len() {
             return;
         }
         let Ok(edits) = self.log.history_range(prev.version, version) else {
@@ -1349,19 +1296,6 @@ impl RankingEngine {
         self.skip_rates.direct = relaxed(self.skip_rates.direct, direct_max);
         self.skip_rates.ripple = relaxed(self.skip_rates.ripple, ripple_max);
     }
-
-    /// Seeds the cache with an externally computed solution for the
-    /// *prepared* version (the batched cold-refresh path of the session
-    /// manager: solved via `rank_many`, state recovered from the scores —
-    /// valid because every solver converges up to sign).
-    pub fn seed_solution(&mut self, ranking: Ranking) {
-        let state = SolveState::from_scores(ranking.scores.clone());
-        self.cache.insert(CachedSolve {
-            version: self.prepared_version,
-            ranking,
-            state,
-        });
-    }
 }
 
 /// Unit-L2 copy of a score vector (the coordinate system of the skip
@@ -1397,12 +1331,10 @@ fn wave_edit_counts(edits: &[ResponseEdit], m: usize) -> Vec<f64> {
     counts
 }
 
-/// The best `min(k, m)` users of a ranking as `(user, score)` pairs.
 /// Head of a cached approximate solve read off its precomputed order —
 /// the serving fast path must not pay an O(m log m) re-sort per query.
-/// (`order` was sorted on the unit-normalized scores; normalization is a
-/// positive scaling, so the order and tie-breaks match [`head_of`] on
-/// the raw scores exactly.)
+/// `order` sorts the same raw scores this returns, so the head matches
+/// [`head_of`] exactly, ties included.
 fn head_from(prev: &ApproxSolve, k: usize) -> Vec<(usize, f64)> {
     prev.order
         .iter()
@@ -1411,6 +1343,7 @@ fn head_from(prev: &ApproxSolve, k: usize) -> Vec<(usize, f64)> {
         .collect()
 }
 
+/// The best `min(k, m)` users of a ranking as `(user, score)` pairs.
 fn head_of(ranking: &Ranking, k: usize) -> Vec<(usize, f64)> {
     sorted_order(&ranking.scores)
         .into_iter()
@@ -1786,7 +1719,6 @@ mod tests {
             *PLANNER.get_or_init(|| Planner::leaked(calibrate(&CalibrationOpts::quick())));
         let opts = EngineOpts {
             planner: Some(planner),
-            plan_mode: PlanMode::Auto,
             solver_opts: SolverOpts {
                 orient: false,
                 ..Default::default()
@@ -1808,14 +1740,14 @@ mod tests {
             8,
             &[2; 8],
             EngineOpts {
-                plan_mode: PlanMode::Static,
+                planner: None,
                 ..opts
             },
         )
         .unwrap();
         assert!(
             fallback.plan_decision().is_none(),
-            "Static mode pins the hand-tuned constants"
+            "no planner pins the hand-tuned constants"
         );
         fallback
             .submit_responses((0..20).map(|u| (u, u % 8, Some(0))))
@@ -1842,7 +1774,6 @@ mod tests {
         // A pinned shard plan keeps PR-5 activation even with a planner.
         let opts = EngineOpts {
             planner: Some(planner),
-            plan_mode: PlanMode::Auto,
             shard_plan: Some(hnd_shard::ShardPlan {
                 min_users: 4,
                 ..hnd_shard::ShardPlan::exactly(3)
@@ -1859,7 +1790,6 @@ mod tests {
         // A non-default density plan overrides the measured break-evens.
         let forced = EngineOpts {
             planner: Some(planner),
-            plan_mode: PlanMode::Auto,
             density_plan: DensityPlan::force_csr(),
             shard_plan: None,
             ..opts

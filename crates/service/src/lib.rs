@@ -16,8 +16,9 @@
 //!
 //! * **The pattern barely changes.** A batch of k answers touches k rows
 //!   and k columns of `C`. `hnd_response::ResponseOps::apply_delta`
-//!   patches the slack-capacity CSR/CSC pattern and its degree scalings in
-//!   `O(nnz(delta))` (`hnd_linalg::BinaryCsr::apply_delta`).
+//!   patches the slack-capacity hybrid pattern (row view and column
+//!   mirror) and its degree scalings in `O(nnz(delta))`
+//!   (`hnd_linalg::HybridPattern::apply_delta`).
 //! * **The spectrum barely moves.** Power/Arnoldi/Lanczos iterations
 //!   restarted from the previous eigenpair (`hnd_core::SolveState`)
 //!   converge in a handful of steps — spectral state is an excellent warm
@@ -35,9 +36,8 @@
 //!        │           checkout) ── Reply<V> back to the caller
 //!        ▼
 //!   SessionManager (fleet: idle sessions evict to their durable logs
-//!        │           and lazily rehydrate on touch; warm sessions
-//!        │           refresh incrementally, cold ones batch through
-//!        ▼           rank_many)
+//!        │           and lazily rehydrate on touch; every session
+//!        ▼           refreshes through its own engine)
 //!   RankingEngine ──────▶ Ranking
 //!        │  kernel backend, auto-selected per EngineOpts::shard_plan:
 //!        │    · ResponseOps (single-shard fast path, in-place patched)
@@ -147,7 +147,7 @@ pub mod server;
 pub mod session;
 
 pub use cache::{CachedSolve, WarmStartCache};
-pub use engine::{EngineOpts, EngineStats, QueryTier, RankingEngine, COARSE_MAX_ITER};
+pub use engine::{EngineOpts, EngineStats, QueryTier, RankingEngine};
 pub use server::{
     Deadline, DeadlineClient, Reply, ServerError, ServerOpts, ServerSnapshot, SessionServer,
 };
@@ -155,7 +155,7 @@ pub use session::{Checkout, ManagerStats, SessionError, SessionId, SessionManage
 
 // Re-export the building blocks callers configure the service with.
 pub use hnd_core::{SolveOutcome, SolveState, SolverKind, SolverOpts, SpectralSolver, Target};
-pub use hnd_plan::{PlanDecision, PlanMode, Planner};
+pub use hnd_plan::{PlanDecision, Planner};
 pub use hnd_response::{
     RankError, Ranking, ResponseDelta, ResponseEdit, ResponseError, ResponseLog, ResponseMatrix,
     VersionedMatrix,

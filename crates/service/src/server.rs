@@ -73,9 +73,7 @@
 use crate::engine::{EngineOpts, EngineStats, RankingEngine};
 use crate::session::{Checkout, ManagerStats, SessionError, SessionId, SessionManager};
 use hnd_linalg::parallel;
-use hnd_response::{
-    rank_many, RankError, Ranking, ResponseDelta, ResponseError, ResponseLog, ResponseMatrix,
-};
+use hnd_response::{RankError, Ranking, ResponseDelta, ResponseError, ResponseLog};
 use hnd_store::{SessionStore, StoreStats};
 use hnd_telemetry::{
     CheckoutKind, CommandKind, Counter, EventKind, MetricsSnapshot, Probe, Stage, StageSummary,
@@ -99,17 +97,6 @@ pub struct ServerOpts {
     pub idle_threshold: Option<u64>,
     /// Engine configuration for every session.
     pub engine: EngineOpts,
-    /// Cold solves a worker batches per pass: when a rehydration needs a
-    /// solve, up to this many *other* evicted solve-hungry sessions are
-    /// pulled into the same pass and solved together through
-    /// [`rank_many`] (batch-level parallelism during reconnect storms).
-    /// The batched pass re-prepares each session's matrix from scratch —
-    /// cross-session parallelism is what buys that back, so on a fully
-    /// subscribed box batching is a measured net loss (the `serving_cold`
-    /// bench pins both regimes). `0` (the default) = auto: batch 8 when
-    /// the worker has inner kernel threads to spend, one-at-a-time
-    /// otherwise. `1` disables batching unconditionally.
-    pub cold_batch: usize,
     /// Whether the telemetry hub records (flight-recorder events, stage
     /// histograms, hub counters). Default **on** — the `telemetry` bench
     /// group's pair gate holds the overhead at ≤5% of a serving wave
@@ -133,7 +120,6 @@ impl Default for ServerOpts {
             workers: 0,
             idle_threshold: None,
             engine: EngineOpts::default(),
-            cold_batch: 0,
             telemetry: true,
             mailbox_cap: 0,
             max_inflight: 0,
@@ -341,15 +327,6 @@ enum Command {
 }
 
 impl Command {
-    /// Whether executing this command runs (or may run) a spectral solve —
-    /// the commands worth batching cold rehydrations for.
-    fn needs_solve(&self) -> bool {
-        matches!(
-            self,
-            Command::Ranking(_) | Command::TopK(..) | Command::RankOf(..)
-        )
-    }
-
     /// The command's flight-recorder tag.
     fn kind(&self) -> CommandKind {
         match self {
@@ -635,13 +612,6 @@ impl SessionServer {
         // Split the machine between the pool and the in-solve kernels so a
         // fleet of sessions does not oversubscribe: workers × inner ≈ total.
         let inner_threads = (total / workers).max(1);
-        // Resolve the auto cold-batch: without inner parallelism the
-        // batched pass has nothing to amortize its duplicated prepares.
-        let cold_batch = match opts.cold_batch {
-            0 if inner_threads > 1 => 8,
-            0 => 1,
-            n => n,
-        };
         mgr.set_idle_threshold(opts.idle_threshold);
         // One flight-recorder ring per worker plus the client ring (direct
         // serves and rejects record from caller threads).
@@ -674,7 +644,7 @@ impl SessionServer {
                 let hub = hub.clone();
                 std::thread::Builder::new()
                     .name(format!("hnd-serve-{k}"))
-                    .spawn(move || worker_loop(&shared, inner_threads, cold_batch, store, hub, k))
+                    .spawn(move || worker_loop(&shared, inner_threads, store, hub, k))
                     .expect("spawn server worker")
             })
             .collect();
@@ -1353,72 +1323,20 @@ impl Drop for SessionServer {
     }
 }
 
-/// Pulls up to `cap − 1` additional *evicted, solve-hungry* sessions out
-/// of the ready queue into the worker's pass (the cold-storm batch).
-/// Unselected ids keep their queue position and `enqueued` flag.
-fn collect_cold_batch(
-    st: &mut Inner,
-    batch: &mut Vec<(SessionId, Vec<Queued>, Checkout)>,
-    cap: usize,
-) {
-    let mut passed: Vec<SessionId> = Vec::new();
-    while batch.len() < cap {
-        let Some(id) = st.ready.pop_front() else {
-            break;
-        };
-        let eligible = st.mgr.is_evicted(id)
-            && st
-                .mailboxes
-                .get(&id)
-                .is_some_and(|mb| !mb.busy && mb.queue.iter().any(|q| q.cmd.needs_solve()));
-        if !eligible {
-            passed.push(id);
-            continue;
-        }
-        let mailbox = st.mailboxes.get_mut(&id).expect("checked above");
-        mailbox.enqueued = false;
-        let commands: Vec<Queued> = mailbox.queue.drain(..).collect();
-        match st.mgr.checkout(id) {
-            Ok(checkout) => {
-                st.mailboxes.get_mut(&id).expect("checked above").busy = true;
-                batch.push((id, commands, checkout));
-            }
-            Err(e) => {
-                st.inflight = st.inflight.saturating_sub(commands.len() as u64);
-                let err = ServerError::from(e);
-                for q in commands {
-                    q.cmd.reject(err.clone());
-                }
-            }
-        }
-    }
-    // Unselected ids return to the front in their original order.
-    for id in passed.into_iter().rev() {
-        st.ready.push_front(id);
-    }
-}
-
 /// One worker: pop a ready session, check its engine out, drain its
 /// mailbox outside the lock, check back in (re-enqueueing if commands
 /// arrived meanwhile). Exits once shutdown is set and the ready queue is
 /// drained.
-///
-/// When the popped session is an evicted one needing a solve, up to
-/// `cold_batch − 1` more such sessions join the pass: their engines are
-/// rebuilt outside the lock and their cold solves run together through
-/// [`rank_many`] (batch-level parallelism), each result seeded into its
-/// engine's cache before the commands execute.
 fn worker_loop(
     shared: &Shared,
     inner_threads: usize,
-    cold_batch: usize,
     store: Option<Arc<SessionStore>>,
     hub: Arc<TelemetryHub>,
     ring: usize,
 ) {
     loop {
-        // Acquire one or more sessions to process (or exit).
-        let (batch, engine_opts, mgr_stats) = {
+        // Acquire one session to process (or exit).
+        let (id, commands, checkout, engine_opts, mgr_stats) = {
             let mut st = shared.state.lock().expect("server state poisoned");
             'acquire: loop {
                 while let Some(id) = st.ready.pop_front() {
@@ -1443,22 +1361,12 @@ fn worker_loop(
                             // Manager counters as of this pass, for any
                             // Snapshot command in the drained queue.
                             let mgr_stats = st.mgr.stats();
-                            let mut batch = vec![(id, commands, checkout)];
-                            if cold_batch > 1
-                                && matches!(
-                                    batch[0].2,
-                                    Checkout::Rehydrate(_) | Checkout::Restore { .. }
-                                )
-                                && batch[0].1.iter().any(|q| q.cmd.needs_solve())
-                            {
-                                collect_cold_batch(&mut st, &mut batch, cold_batch);
-                            }
-                            break 'acquire (batch, opts, mgr_stats);
+                            break 'acquire (id, commands, checkout, opts, mgr_stats);
                         }
                         Err(e) => {
                             // The manager cannot serve the id (closed
                             // concurrently, quarantined, restore failed):
-                            // fail the drained batch, keep popping.
+                            // fail the drained commands, keep popping.
                             st.inflight = st.inflight.saturating_sub(commands.len() as u64);
                             let err = ServerError::from(e);
                             for q in commands {
@@ -1474,130 +1382,82 @@ fn worker_loop(
             }
         };
 
-        // Process the batch outside the lock: each session is single-writer
-        // (its engine is checked out), other sessions proceed in parallel.
+        // Process the session outside the lock: it is single-writer (its
+        // engine is checked out), other sessions proceed in parallel.
         let enabled = hub.enabled();
-        let mut items: Vec<(SessionId, Vec<Queued>, RankingEngine)> =
-            Vec::with_capacity(batch.len());
-        // Sessions whose rehydration build failed or panicked: their
-        // durable state is still on disk (salvage `None`) — quarantine
-        // them at check-in instead of taking the worker down.
-        let mut broken: Vec<(SessionId, Vec<Queued>)> = Vec::new();
-        let mut cold: Vec<usize> = Vec::new();
-        let batched = batch.len() > 1;
-        for (id, commands, checkout) in batch {
-            // The checkout event carries the first queued command's seq so
-            // a trace reader can tie the rebuild to the command that paid
-            // for it.
-            let seq0 = commands.first().map_or(0, |q| q.seq);
-            let kind0 = commands
-                .first()
-                .map_or(CommandKind::Close, |q| q.cmd.kind());
-            let (engine, was_cold) = match checkout {
-                Checkout::Live(engine) => {
-                    if enabled {
-                        hub.record(
-                            ring,
-                            id,
-                            seq0,
-                            EventKind::Checkout {
-                                kind: CheckoutKind::Live,
-                                replayed: 0,
-                            },
-                        );
-                    }
-                    (Some(*engine), false)
+        // The checkout event carries the first queued command's seq so a
+        // trace reader can tie the rebuild to the command that paid for it.
+        let seq0 = commands.first().map_or(0, |q| q.seq);
+        let kind0 = commands
+            .first()
+            .map_or(CommandKind::Close, |q| q.cmd.kind());
+        let engine = match checkout {
+            Checkout::Live(engine) => {
+                if enabled {
+                    hub.record(
+                        ring,
+                        id,
+                        seq0,
+                        EventKind::Checkout {
+                            kind: CheckoutKind::Live,
+                            replayed: 0,
+                        },
+                    );
                 }
-                Checkout::Rehydrate(log) => {
-                    let started = Instant::now();
-                    let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        RankingEngine::from_log(log, engine_opts)
-                    }));
-                    let engine = built.ok().and_then(Result::ok);
-                    if engine.is_some() && enabled {
-                        hub.record(
-                            ring,
-                            id,
-                            seq0,
-                            EventKind::Checkout {
-                                kind: CheckoutKind::Rehydrate,
-                                replayed: 0,
-                            },
-                        );
-                        hub.record_stage(Stage::Restore, started.elapsed().as_nanos() as u64);
-                    }
-                    (engine, true)
-                }
-                Checkout::Restore { log, replayed } => {
-                    let started = Instant::now();
-                    let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        RankingEngine::from_log(log, engine_opts)
-                    }));
-                    let engine = built.ok().and_then(Result::ok).map(|mut engine| {
-                        engine.record_wal_replay(replayed);
-                        engine
-                    });
-                    if engine.is_some() && enabled {
-                        hub.record(
-                            ring,
-                            id,
-                            seq0,
-                            EventKind::Checkout {
-                                kind: CheckoutKind::Restore,
-                                replayed,
-                            },
-                        );
-                        hub.record_stage(Stage::Restore, started.elapsed().as_nanos() as u64);
-                    }
-                    (engine, true)
-                }
-            };
-            match engine {
-                Some(mut engine) => {
-                    // Cold indices are assigned only after a successful
-                    // build so a broken session never corrupts the
-                    // batched-solve index set.
-                    if batched && was_cold {
-                        cold.push(items.len());
-                    }
-                    // (Re)install the probe every checkout: the engine may
-                    // have last run on a different worker's ring.
-                    engine.set_probe(enabled.then(|| Probe::new(hub.clone(), ring, id)));
-                    items.push((id, commands, engine));
-                }
-                None => {
-                    if enabled {
-                        hub.record(ring, id, seq0, EventKind::Quarantine { cmd: kind0 });
-                        hub.bump(Counter::SessionsQuarantined);
-                        hub.capture_error();
-                    }
-                    broken.push((id, commands));
-                }
+                Some(*engine)
             }
-        }
-        let (mut finished, store_errors, mut consumed) =
-            parallel::with_threads(inner_threads, || {
-                // Batched pass: one rank_many over the cold engines' matrices,
-                // results seeded so the queued ranking commands hit the cache.
-                // A failed slot just falls through to the per-command solve
-                // (which reports the error to its own caller).
-                if !cold.is_empty() {
-                    let solver = engine_opts.solver.build(engine_opts.solver_opts);
-                    let matrices: Vec<&ResponseMatrix> =
-                        cold.iter().map(|&i| items[i].2.matrix()).collect();
-                    let solved = rank_many(solver.as_ranker(), &matrices);
-                    for (&i, result) in cold.iter().zip(solved) {
-                        if let Ok(ranking) = result {
-                            items[i].2.seed_solution(ranking);
-                        }
-                    }
+            Checkout::Rehydrate(log) => {
+                let started = Instant::now();
+                let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    RankingEngine::from_log(log, engine_opts)
+                }));
+                let engine = built.ok().and_then(Result::ok);
+                if engine.is_some() && enabled {
+                    hub.record(
+                        ring,
+                        id,
+                        seq0,
+                        EventKind::Checkout {
+                            kind: CheckoutKind::Rehydrate,
+                            replayed: 0,
+                        },
+                    );
+                    hub.record_stage(Stage::Restore, started.elapsed().as_nanos() as u64);
                 }
-                let mut finished: Vec<(SessionId, Outcome, Vec<Sender<()>>)> =
-                    Vec::with_capacity(items.len());
-                let mut store_errors = 0u64;
-                let mut consumed = 0u64;
-                for (id, commands, mut engine) in items {
-                    consumed += commands.len() as u64;
+                engine
+            }
+            Checkout::Restore { log, replayed } => {
+                let started = Instant::now();
+                let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    RankingEngine::from_log(log, engine_opts)
+                }));
+                let engine = built.ok().and_then(Result::ok).map(|mut engine| {
+                    engine.record_wal_replay(replayed);
+                    engine
+                });
+                if engine.is_some() && enabled {
+                    hub.record(
+                        ring,
+                        id,
+                        seq0,
+                        EventKind::Checkout {
+                            kind: CheckoutKind::Restore,
+                            replayed,
+                        },
+                    );
+                    hub.record_stage(Stage::Restore, started.elapsed().as_nanos() as u64);
+                }
+                engine
+            }
+        };
+        let consumed = commands.len() as u64;
+        let (outcome, settles, store_errors) = match engine {
+            Some(mut engine) => {
+                // (Re)install the probe every checkout: the engine may have
+                // last run on a different worker's ring.
+                engine.set_probe(enabled.then(|| Probe::new(hub.clone(), ring, id)));
+                parallel::with_threads(inner_threads, || {
+                    let mut store_errors = 0u64;
                     let mut close = false;
                     let mut settles: Vec<Sender<()>> = Vec::with_capacity(commands.len());
                     let mut panicked = false;
@@ -1611,7 +1471,7 @@ fn worker_loop(
                             at_ns,
                         } = q;
                         if close {
-                            // Ordered after a Close in the same batch: the
+                            // Ordered after a Close in the same pass: the
                             // session is already logically gone.
                             cmd.reject(ServerError::UnknownSession(id));
                             continue;
@@ -1718,35 +1578,33 @@ fn worker_loop(
                         }
                         // Salvage the log out of the poisoned engine — the
                         // committed prefix survives a mid-submit panic
-                        // structurally valid. If even that unwinds, the store
-                        // tier still holds the durable copy.
+                        // structurally valid. If even that unwinds, the
+                        // store tier still holds the durable copy.
                         let salvage =
                             std::panic::catch_unwind(AssertUnwindSafe(move || engine.into_log()))
                                 .ok();
-                        finished.push((id, Outcome::Quarantine { salvage }, settles));
+                        (Outcome::Quarantine { salvage }, settles, store_errors)
                     } else {
-                        finished.push((
-                            id,
-                            Outcome::Done {
-                                engine: Box::new(engine),
-                                close,
-                            },
-                            settles,
-                        ));
+                        let engine = Box::new(engine);
+                        (Outcome::Done { engine, close }, settles, store_errors)
                     }
-                }
-                (finished, store_errors, consumed)
-            });
-        // Fold rehydration failures in as salvage-free quarantines; their
-        // replies resolve here (outside the lock), their sessions
-        // transition at check-in below.
-        for (id, commands) in broken {
-            consumed += commands.len() as u64;
-            for q in commands {
-                q.cmd.reject(ServerError::Quarantined(id));
+                })
             }
-            finished.push((id, Outcome::Quarantine { salvage: None }, Vec::new()));
-        }
+            None => {
+                // The rehydration build failed or panicked: the durable
+                // state is still on disk (salvage `None`) — quarantine the
+                // session at check-in instead of taking the worker down.
+                if enabled {
+                    hub.record(ring, id, seq0, EventKind::Quarantine { cmd: kind0 });
+                    hub.bump(Counter::SessionsQuarantined);
+                    hub.capture_error();
+                }
+                for q in commands {
+                    q.cmd.reject(ServerError::Quarantined(id));
+                }
+                (Outcome::Quarantine { salvage: None }, Vec::new(), 0)
+            }
+        };
 
         // Check back in.
         let mut st = shared.state.lock().expect("server state poisoned");
@@ -1755,47 +1613,45 @@ fn worker_loop(
         }
         let mut dropped = 0u64;
         let mut notify = false;
-        for (id, outcome, settles) in finished {
-            match outcome {
-                Outcome::Done { engine, close } => {
-                    if close {
-                        st.mgr.drop_session(id);
-                        if let Some(mailbox) = st.mailboxes.remove(&id) {
-                            dropped += mailbox.queue.len() as u64;
-                            for q in mailbox.queue {
-                                q.cmd.reject(ServerError::UnknownSession(id));
-                            }
-                        }
-                    } else {
-                        st.mgr
-                            .put_engine(id, *engine)
-                            .expect("worker holds this session's checkout");
-                        if let Some(mailbox) = st.mailboxes.get_mut(&id) {
-                            mailbox.busy = false;
-                            if !mailbox.queue.is_empty() && !mailbox.enqueued {
-                                mailbox.enqueued = true;
-                                st.ready.push_back(id);
-                                notify = true;
-                            }
+        match outcome {
+            Outcome::Done { engine, close } => {
+                if close {
+                    st.mgr.drop_session(id);
+                    if let Some(mailbox) = st.mailboxes.remove(&id) {
+                        dropped += mailbox.queue.len() as u64;
+                        for q in mailbox.queue {
+                            q.cmd.reject(ServerError::UnknownSession(id));
                         }
                     }
-                }
-                Outcome::Quarantine { salvage } => {
-                    st.mgr.quarantine_session(id, salvage);
+                } else {
+                    st.mgr
+                        .put_engine(id, *engine)
+                        .expect("worker holds this session's checkout");
                     if let Some(mailbox) = st.mailboxes.get_mut(&id) {
                         mailbox.busy = false;
-                        dropped += mailbox.queue.len() as u64;
-                        for q in mailbox.queue.drain(..) {
-                            q.cmd.reject(ServerError::Quarantined(id));
+                        if !mailbox.queue.is_empty() && !mailbox.enqueued {
+                            mailbox.enqueued = true;
+                            st.ready.push_back(id);
+                            notify = true;
                         }
                     }
                 }
             }
-            // The wait_settled barrier: the session's state transition
-            // above is visible before any of its clients proceed.
-            for settle in settles {
-                let _ = settle.send(());
+            Outcome::Quarantine { salvage } => {
+                st.mgr.quarantine_session(id, salvage);
+                if let Some(mailbox) = st.mailboxes.get_mut(&id) {
+                    mailbox.busy = false;
+                    dropped += mailbox.queue.len() as u64;
+                    for q in mailbox.queue.drain(..) {
+                        q.cmd.reject(ServerError::Quarantined(id));
+                    }
+                }
             }
+        }
+        // The wait_settled barrier: the session's state transition above is
+        // visible before any of its clients proceed.
+        for settle in settles {
+            let _ = settle.send(());
         }
         st.inflight = st.inflight.saturating_sub(consumed + dropped);
         drop(st);

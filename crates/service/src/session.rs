@@ -2,13 +2,10 @@
 //!
 //! A production deployment ranks many cohorts at once (one per classroom,
 //! campaign, …). [`SessionManager`] owns one slot per session and adds the
-//! batched maintenance pass [`SessionManager::refresh_all`]: sessions with
-//! cached spectral state refresh through their incremental delta+warm path
-//! (already a handful of iterations each), while cold sessions — fresh
-//! bulk loads, slack-exhausted rebuild points — are batch-solved *in
-//! parallel across sessions* through [`hnd_response::rank_many`] and their
-//! caches seeded from the returned scores (valid warm states: every solver
-//! converges up to sign).
+//! maintenance pass [`SessionManager::refresh_all`]: every out-of-date
+//! session refreshes through its own engine — the incremental delta+warm
+//! path (a handful of iterations) when it has cached spectral state, a
+//! cold solve otherwise.
 //!
 //! ## Idle eviction and rehydration
 //!
@@ -41,8 +38,7 @@
 //! any global lock, and checks it back in.
 
 use crate::engine::{EngineOpts, EngineStats, RankingEngine};
-use hnd_core::SpectralSolver;
-use hnd_response::{rank_many, RankError, Ranking, ResponseError, ResponseLog, ResponseMatrix};
+use hnd_response::{RankError, Ranking, ResponseError, ResponseLog};
 use hnd_store::SessionStore;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -193,9 +189,6 @@ pub struct ManagerStats {
 /// Owns and refreshes a fleet of incremental ranking sessions.
 pub struct SessionManager {
     opts: EngineOpts,
-    /// Shared solver for the batched cold-refresh path (same configuration
-    /// as every session's own solver).
-    solver: Box<dyn SpectralSolver>,
     sessions: BTreeMap<SessionId, SessionSlot>,
     next_id: SessionId,
     /// Logical clock: one tick per manager operation.
@@ -221,7 +214,6 @@ impl SessionManager {
     /// Creates a manager whose sessions all use `opts` (no idle eviction).
     pub fn new(opts: EngineOpts) -> Self {
         SessionManager {
-            solver: opts.solver.build(opts.solver_opts),
             opts,
             sessions: BTreeMap::new(),
             next_id: 0,
@@ -533,19 +525,6 @@ impl SessionManager {
     /// bumping its touch time.
     fn live_engine_mut(&mut self, id: SessionId) -> Result<&mut RankingEngine, SessionError> {
         let now = self.tick();
-        self.live_engine_mut_at(id, now)
-    }
-
-    /// [`Self::live_engine_mut`] at an explicit clock reading — used by
-    /// [`Self::refresh_all`], which is *one* manager operation no matter
-    /// how many sessions it refreshes (per-session ticks would inflate the
-    /// clock and let the trailing idle sweep evict sessions the pass
-    /// itself just refreshed).
-    fn live_engine_mut_at(
-        &mut self,
-        id: SessionId,
-        now: u64,
-    ) -> Result<&mut RankingEngine, SessionError> {
         let store = self.store.clone();
         let (rehydrated, restored) = {
             let slot = self
@@ -899,20 +878,20 @@ impl SessionManager {
         true
     }
 
-    /// Refreshes every out-of-date live session; returns `(id, result)`
-    /// pairs for the sessions that actually solved, in ascending id order.
-    /// Evicted sessions are left cold (their next touch both rehydrates
-    /// and solves); checked-out sessions belong to their worker.
+    /// Refreshes every out-of-date live session through its own engine
+    /// (the incremental delta+warm path, or a cold solve for a session
+    /// without cached state); returns `(id, result)` pairs for the
+    /// sessions that actually solved, in ascending id order — one
+    /// degenerate roster never blocks the fleet. Evicted sessions are left
+    /// cold (their next touch both rehydrates and solves); checked-out
+    /// sessions belong to their worker.
     ///
-    /// Warm sessions take their own incremental path; cold sessions are
-    /// batch-solved in parallel via [`rank_many`] (each gets its own
-    /// `Result` — one degenerate roster never blocks the fleet) and seeded
-    /// into their warm-start caches.
+    /// The pass is *one* manager operation however many sessions it
+    /// refreshes: per-session ticks would inflate the clock and let the
+    /// trailing idle sweep evict sessions the pass itself just refreshed.
     pub fn refresh_all(&mut self) -> Vec<(SessionId, Result<Ranking, RankError>)> {
         let now = self.tick();
-        // Phase 1: advance kernel contexts and partition the fleet.
-        let mut warm_ids: Vec<SessionId> = Vec::new();
-        let mut cold_ids: Vec<SessionId> = Vec::new();
+        let mut results = Vec::new();
         for (&id, slot) in self.sessions.iter_mut() {
             let SessionState::Live(ref mut engine) = slot.state else {
                 continue;
@@ -920,56 +899,14 @@ impl SessionManager {
             if engine.is_current() {
                 continue;
             }
-            engine.advance();
-            if engine.has_warm_state() {
-                warm_ids.push(id);
-            } else {
-                cold_ids.push(id);
-            }
+            slot.last_touch = now;
+            results.push((id, engine.current_ranking()));
         }
-
-        let mut results: Vec<(SessionId, Result<Ranking, RankError>)> = Vec::new();
-
-        // Phase 2: batched cold solves across sessions via rank_many.
-        if !cold_ids.is_empty() {
-            let solved: Vec<Result<Ranking, RankError>> = {
-                let matrices: Vec<&ResponseMatrix> = cold_ids
-                    .iter()
-                    .map(|id| match self.sessions[id].state {
-                        SessionState::Live(ref engine) => engine.matrix(),
-                        _ => unreachable!("partitioned as live above"),
-                    })
-                    .collect();
-                rank_many(self.solver.as_ranker(), &matrices)
-            };
-            for (id, result) in cold_ids.into_iter().zip(solved) {
-                if let Ok(ranking) = &result {
-                    self.live_engine_mut_at(id, now)
-                        .expect("partitioned as live above")
-                        .seed_solution(ranking.clone());
-                }
-                results.push((id, result));
-            }
-        }
-
-        // Phase 3: warm sessions ride their incremental path (a handful of
-        // iterations each on an already-patched kernel context).
-        for id in warm_ids {
-            let result = self
-                .live_engine_mut_at(id, now)
-                .expect("partitioned as live above")
-                .current_ranking();
-            results.push((id, result));
-        }
-
-        results.sort_by_key(|(id, _)| *id);
         // The fleet-wide refresh is the planner's feedback point: fold the
         // predicted-vs-actual drift every engine reported since the last
         // sweep into the catalog's correction factors.
-        if self.opts.plan_mode == hnd_plan::PlanMode::Auto {
-            if let Some(planner) = self.opts.planner {
-                planner.refresh();
-            }
+        if let Some(planner) = self.opts.planner {
+            planner.refresh();
         }
         self.run_idle_policy();
         results
@@ -1015,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn refresh_all_batches_cold_and_warms_the_rest() {
+    fn refresh_all_solves_cold_and_warms_the_rest() {
         let mut mgr = manager();
         let ids: Vec<SessionId> = (0..4)
             .map(|k| {
@@ -1027,7 +964,7 @@ mod tests {
                 id
             })
             .collect();
-        // All four are cold → batched rank_many path.
+        // All four are cold → each solves from scratch.
         let first = mgr.refresh_all();
         assert_eq!(first.len(), 4);
         for (id, result) in &first {
@@ -1050,22 +987,6 @@ mod tests {
         );
         assert_eq!(s1.delta_applies, 1, "the trickle edit was a patch");
         assert_eq!(s1.warm_solves, 1);
-    }
-
-    #[test]
-    fn batched_cold_refresh_agrees_with_direct_ranking() {
-        // The rank_many path and the per-session path must produce the same
-        // rankings (identical solver configuration).
-        let mut mgr = manager();
-        let id = mgr.create_session(8, 7, &[2; 7]).unwrap();
-        mgr.submit_responses(id, staircase_responses(8)).unwrap();
-        let batched = mgr.refresh_all().pop().unwrap().1.unwrap();
-
-        let mut solo = manager();
-        let sid = solo.create_session(8, 7, &[2; 7]).unwrap();
-        solo.submit_responses(sid, staircase_responses(8)).unwrap();
-        let direct = solo.current_ranking(sid).unwrap();
-        assert_eq!(batched.order_best_to_worst(), direct.order_best_to_worst());
     }
 
     #[test]
@@ -1107,7 +1028,7 @@ mod tests {
         // Regression: refresh_all used to tick once per refreshed session,
         // so with a small idle threshold its trailing sweep could evict
         // the very sessions it had just refreshed (throwing away the warm
-        // state rank_many computed).
+        // state the pass computed).
         let mut mgr = manager();
         let ids: Vec<SessionId> = (0..6)
             .map(|_| {

@@ -245,71 +245,6 @@ fn eviction_under_server_load_is_invisible_to_clients() {
     ));
 }
 
-/// A reconnect storm served through the batched cold path (`rank_many`
-/// seeding) must be bitwise identical to the same storm served one
-/// session at a time — batching is a scheduling choice, never a result
-/// change. `cold_batch` is forced on both sides so the test pins the
-/// batched code path even on a single-core runner (where the auto
-/// default would disable it).
-#[test]
-fn batched_cold_storm_matches_unbatched_bitwise() {
-    let sessions = 5;
-    let (m, n) = (24, 10);
-    // Distinct per-session matrices: identical fleets would let a
-    // cross-session result mix-up pass unnoticed.
-    let load = |s: usize| -> Vec<(usize, usize, Option<u16>)> {
-        let mut state = 0x570_0c5u64.wrapping_add((s as u64) << 13);
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 11
-        };
-        (0..m)
-            .flat_map(|u| (0..n).map(move |i| (u, i)))
-            .map(|(u, i)| {
-                let correct = (i % 2) as u16;
-                let ability = u as f64 / m as f64;
-                let choice = if (next() % 1000) as f64 / 1000.0 < 0.2 + 0.7 * ability {
-                    correct
-                } else {
-                    1 - correct
-                };
-                (u, i, Some(choice))
-            })
-            .collect()
-    };
-    let storm = |cold_batch: usize| -> Vec<Vec<f64>> {
-        let srv = SessionServer::new(ServerOpts {
-            workers: 1,
-            // Tick-0 idle threshold: every check-in re-evicts, so the
-            // explicit sweep below finds the whole fleet cold.
-            idle_threshold: Some(0),
-            engine: opts(),
-            cold_batch,
-            ..Default::default()
-        });
-        let ids: Vec<_> = (0..sessions)
-            .map(|s| {
-                let id = srv.create_session(m, n, &vec![2; n]).unwrap();
-                srv.submit(id, load(s)).wait().unwrap();
-                id
-            })
-            .collect();
-        srv.evict_idle();
-        // One pipelined read per session: with `cold_batch > 1` a single
-        // worker drains these as one rank_many pass.
-        let reads: Vec<_> = ids.iter().map(|&id| srv.ranking(id)).collect();
-        reads
-            .into_iter()
-            .map(|r| r.wait().unwrap().scores)
-            .collect()
-    };
-    let unbatched = storm(1);
-    let batched = storm(8);
-    assert_eq!(unbatched, batched);
-}
-
 /// Evict-to-disk, then a process "restart" (a brand-new manager over the
 /// same store directory): the adopted session's first touch must serve a
 /// ranking bitwise identical to a never-evicted engine over the same

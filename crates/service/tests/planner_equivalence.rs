@@ -14,7 +14,7 @@
 
 use hnd_core::SolverOpts;
 use hnd_linalg::DensityPlan;
-use hnd_plan::{calibrate, CalibrationOpts, PlanMode, Planner};
+use hnd_plan::{calibrate, CalibrationOpts, Planner};
 use hnd_service::{EngineOpts, RankingEngine, ShardPlan};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -114,20 +114,19 @@ proptest! {
     fn planner_matches_every_forced_baseline((m, n, options, batches) in edit_stream()) {
         let planned = replay(m, n, &options, &batches, EngineOpts {
             planner: Some(planner()),
-            plan_mode: PlanMode::Auto,
             ..base_opts()
         });
 
         // Static fallback (the PR-5 path, hand-tuned constants).
         let fallback = replay(m, n, &options, &batches, EngineOpts {
-            plan_mode: PlanMode::Static,
+            planner: None,
             ..base_opts()
         });
         assert_history_close(&planned, &fallback, "planner vs static fallback");
 
         // Forced single backend, pure-CSR lanes.
         let csr = replay(m, n, &options, &batches, EngineOpts {
-            plan_mode: PlanMode::Static,
+            planner: None,
             density_plan: DensityPlan::force_csr(),
             ..base_opts()
         });
@@ -135,7 +134,7 @@ proptest! {
 
         // Forced single backend, all-bitmap lanes.
         let bitmap = replay(m, n, &options, &batches, EngineOpts {
-            plan_mode: PlanMode::Static,
+            planner: None,
             density_plan: DensityPlan::force_bitmap(),
             ..base_opts()
         });
@@ -143,7 +142,7 @@ proptest! {
 
         // Pinned sharded backend (2 shards, activation forced on).
         let sharded = replay(m, n, &options, &batches, EngineOpts {
-            plan_mode: PlanMode::Static,
+            planner: None,
             shard_plan: Some(ShardPlan {
                 min_users: 2,
                 ..ShardPlan::exactly(2)
@@ -163,7 +162,6 @@ proptest! {
         // never results.
         let planned_forced = replay(m, n, &options, &batches, EngineOpts {
             planner: Some(planner()),
-            plan_mode: PlanMode::Auto,
             density_plan: DensityPlan::force_bitmap(),
             ..base_opts()
         });

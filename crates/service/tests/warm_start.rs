@@ -3,40 +3,22 @@
 //! solve to tolerance, converge in strictly fewer iterations, and must
 //! never rebuild the full CSR — the latter enforced both by the engine's
 //! rebuild counter and by a byte-counting global allocator that bounds the
-//! incremental path's allocations far below the pattern's size.
+//! incremental path's allocations far below the pattern's size. The
+//! allocator counts per thread; the sessions measured here are below the
+//! kernels' parallel cut-off, so all their work runs on the test thread.
 
+use hnd_linalg::DensityPlan;
 use hnd_service::{EngineOpts, RankingEngine, SolverKind, SolverOpts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAllocator;
+#[path = "../../core/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{allocated_bytes, CountingAllocator};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocated_bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
-}
 
 /// A seeded IRT instance bulk-loaded into an engine.
 fn seeded_engine(m: usize, n: usize, opts: EngineOpts) -> (RankingEngine, u16) {
@@ -191,6 +173,33 @@ fn incremental_path_never_rebuilds_the_csr() {
         stats.last_iterations <= 10,
         "warm solve took {} iterations",
         stats.last_iterations
+    );
+
+    // The counter catches a rebuild: with zero slack on all-CSR lanes the
+    // same kind of delta overflows a column span and rebuilds the kernel
+    // context, which must blow through the bound above.
+    let rebuilding = EngineOpts {
+        row_slack: 0,
+        col_slack: 0,
+        density_plan: DensityPlan::force_csr(),
+        planner: None,
+        ..unoriented_opts()
+    };
+    let (mut engine, _k) = seeded_engine(m, n, rebuilding);
+    engine.current_ranking().unwrap();
+    let rebuilds_before = engine.stats().rebuilds;
+    engine.submit_responses(small_delta(&engine, 4)).unwrap();
+    let before = allocated_bytes();
+    engine.current_ranking().unwrap();
+    let spent = allocated_bytes() - before;
+    assert!(
+        engine.stats().rebuilds > rebuilds_before,
+        "zero slack rebuilds"
+    );
+    assert!(
+        spent >= rebuild_floor_bytes / 4,
+        "a rebuild allocated only {spent} bytes against the {} byte bound",
+        rebuild_floor_bytes / 4
     );
 }
 
